@@ -14,10 +14,10 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import math
 import os
 import sys
-from dataclasses import dataclass, field
-from enum import Enum
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -32,14 +32,7 @@ from .errors import (
     ZeroToleranceError,
 )
 from .evt import max_to_sum, mean_excess
-from .series import (
-    Frequency,
-    ReturnKind,
-    fill_weekend,
-    ingest_csv,
-    log_returns,
-    resample,
-)
+from .series import Frequency, ReturnKind, fill_weekend, ingest_csv, log_returns, resample
 from .stats import RollingStatistic, rolling, summarize
 from .synth import Family, GeneratorSpec, generate
 
@@ -67,47 +60,12 @@ REPORT_COLUMNS = (
     "excess_kurtosis",
 )
 
-
-class Target(str, Enum):
-    PRICES = "prices"
-    RETURNS = "returns"
-    ABS_RETURNS = "abs_returns"
+# The series each --target analyzes: the closing prices (None) or their log-returns.
+TARGETS = {"prices": None, "returns": ReturnKind.SIGNED, "abs_returns": ReturnKind.ABSOLUTE}
 
 
 class ConfigError(Exception):
     """Bad flag combination or unusable configuration (exit code 2)."""
-
-
-@dataclass
-class AnalysisConfig:
-    """Resolved pipeline parameters shared by the data subcommands."""
-
-    inputs: list[tuple[str, Path]]
-    frequency: Frequency = Frequency.DAILY
-    target: Target = Target.PRICES
-    fill_weekend: frozenset[str] = frozenset()
-    windows: dict[Frequency, int] = field(default_factory=lambda: dict(DEFAULT_WINDOWS))
-    statistic: RollingStatistic = RollingStatistic.STD_DEV
-    apen_params: ApenParams = field(default_factory=ApenParams)
-    trim_fraction: float = 0.02
-    orders: tuple[int, ...] = (1, 2, 3, 4)
-    out_dir: Path = Path(".")
-    fmt: str = "csv"
-
-    @property
-    def window(self) -> int:
-        return self.windows[self.frequency]
-
-
-@dataclass
-class LoadedSeries:
-    """One asset's analysis-ready values plus labels for file naming."""
-
-    asset: str
-    values: np.ndarray
-    dates: tuple | None  # None for bare value samples
-    frequency_label: str
-    target_label: str
 
 
 # ---------------------------------------------------------------------------
@@ -124,11 +82,14 @@ def _read_bare_values(path: Path) -> np.ndarray:
             if not row or not row[0].strip():
                 continue
             try:
-                values.append(float(row[0]))
+                value = float(row[0])
             except ValueError:
                 raise UnparsableRowError(
                     f"{path.name} row {number}: unparsable value {row[0]!r}"
                 ) from None
+            if not math.isfinite(value):
+                raise UnparsableRowError(f"{path.name} row {number}: non-finite value {row[0]!r}")
+            values.append(value)
     return np.asarray(values, dtype=np.float64)
 
 
@@ -140,34 +101,39 @@ def _sniff_header(path: Path) -> list[str]:
     return [cell.strip().lower() for cell in row]
 
 
-def _load(cfg: AnalysisConfig, asset: str, path: Path) -> LoadedSeries:
+def _prices(args, asset: str, path: Path):
+    """The one ingest → weekend fill → resample path, shared by every command."""
+    series = ingest_csv(path, asset)
+    if asset in args.fill:
+        series = fill_weekend(series)
+    if args.frequency is not Frequency.DAILY:
+        series = resample(series, args.frequency)
+    return series
+
+
+def _load(args, asset: str, path: Path):
+    """The --target series of one input as (values, dates, head), where head
+    holds the asset, frequency and target labels that name its output file.
+    A bare value sample is undated: its dates are None and its labels na/values."""
     header = _sniff_header(path)
-    if "date" in header and "close" in header:
-        series = ingest_csv(path, asset)
-        if asset in cfg.fill_weekend:
-            series = fill_weekend(series)
-        if cfg.frequency is not Frequency.DAILY:
-            series = resample(series, cfg.frequency)
-        if cfg.target is Target.PRICES:
-            return LoadedSeries(
-                asset, np.asarray(series.closes), series.dates, cfg.frequency.value, "prices"
-            )
-        kind = ReturnKind.SIGNED if cfg.target is Target.RETURNS else ReturnKind.ABSOLUTE
-        returns = log_returns(series, kind)
-        return LoadedSeries(
-            asset, np.asarray(returns.values), returns.dates, cfg.frequency.value, cfg.target.value
-        )
     if header == ["value"]:
-        if cfg.target is not Target.PRICES:
-            raise InvalidParameterError(
-                "bare value samples have no prices to derive returns from"
-            )
-        if asset in cfg.fill_weekend:
+        if args.target != "prices":
+            raise InvalidParameterError("bare value samples have no prices to derive returns from")
+        if asset in args.fill:
             raise InvalidParameterError("bare value samples are undated; cannot fill")
-        return LoadedSeries(asset, _read_bare_values(path), None, "na", "values")
-    raise MissingColumnError(
-        f"{path.name}: expected Date and Close columns, or a single value column"
-    )
+        head = {"asset": asset, "frequency": "na", "target": "values"}
+        return _read_bare_values(path), None, head
+    if "date" not in header or "close" not in header:
+        raise MissingColumnError(
+            f"{path.name}: expected Date and Close columns, or a single value column"
+        )
+    prices = _prices(args, asset, path)
+    head = {"asset": asset, "frequency": args.frequency.value, "target": args.target}
+    kind = TARGETS[args.target]
+    if kind is None:
+        return prices.closes, prices.dates, head
+    returns = log_returns(prices, kind)
+    return returns.values, returns.dates, head
 
 
 # ---------------------------------------------------------------------------
@@ -176,40 +142,42 @@ def _load(cfg: AnalysisConfig, asset: str, path: Path) -> LoadedSeries:
 
 
 def _cell(value):
-    if value is None:
+    if value is None or isinstance(value, float) and math.isnan(value):
         return ""
-    if isinstance(value, float):
-        if np.isnan(value):
-            return ""
-        return repr(value)
-    return value
+    return repr(value) if isinstance(value, float) else value
 
 
-def _jsonable(value):
-    if value is None:
-        return None
-    if isinstance(value, float) and np.isnan(value):
-        return None
-    return value
+def _json_row(row: dict) -> dict:
+    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
 
 
-def _write_table(path: Path, fieldnames: tuple[str, ...], rows: list[dict]) -> None:
+def _emit(args, name: tuple, columns, rows, payload) -> Path:
+    """Write ``{--out}/{name joined by _}.{--format}`` and return its path.
+
+    ``rows`` and ``payload`` are zero-argument callables, and only the one for
+    the asked format is called: ``rows()`` gives the CSV table as dicts keyed
+    by ``columns`` (None and NaN become empty cells), ``payload()`` the JSON
+    document. Either is built in full before the file is opened.
+    """
+    path = args.out / f"{'_'.join(name)}.{args.fmt}"
+    if args.fmt == "json":
+        document = payload()
+        with path.open("w", encoding="utf-8") as fh:
+            json.dump(document, fh, indent=2)
+            fh.write("\n")
+        return path
+    table = rows()
     with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.DictWriter(fh, fieldnames=list(fieldnames))
-        writer.writeheader()
-        for row in rows:
-            writer.writerow({key: _cell(value) for key, value in row.items()})
+        writer = csv.writer(fh)
+        writer.writerow(columns)
+        writer.writerows([_cell(row[column]) for column in columns] for row in table)
+    return path
 
 
-def _write_json(path: Path, payload) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        json.dump(payload, fh, indent=2)
-        fh.write("\n")
-
-
-def _out_path(cfg: AnalysisConfig, loaded: LoadedSeries, command: str) -> Path:
-    name = f"{loaded.asset}_{loaded.frequency_label}_{loaded.target_label}_{command}.{cfg.fmt}"
-    return cfg.out_dir / name
+def _emit_row(args, row: dict, command: str) -> None:
+    """One-row table in CSV; the same row as a JSON object."""
+    name = (row["asset"], row["frequency"], row["target"], command)
+    _emit(args, name, tuple(row), lambda: [row], lambda: _json_row(row))
 
 
 # ---------------------------------------------------------------------------
@@ -217,258 +185,116 @@ def _out_path(cfg: AnalysisConfig, loaded: LoadedSeries, command: str) -> Path:
 # ---------------------------------------------------------------------------
 
 
-def _for_each_asset(cfg: AnalysisConfig, handle) -> int:
+def _each_asset(args, handle) -> int:
     failures = 0
-    for asset, path in cfg.inputs:
+    for asset, path in args.inputs:
         try:
-            handle(asset, path)
+            handle(args, asset, path)
         except (TailscopeError, OSError) as exc:
             print(f"{asset}: {type(exc).__name__}: {exc}", file=sys.stderr)
             failures += 1
     return EXIT_PARTIAL if failures else EXIT_OK
 
 
-def cmd_ingest(cfg: AnalysisConfig) -> int:
-    def handle(asset: str, path: Path) -> None:
-        series = ingest_csv(path, asset)
-        if asset in cfg.fill_weekend:
-            series = fill_weekend(series)
-        if cfg.frequency is not Frequency.DAILY:
-            series = resample(series, cfg.frequency)
-        loaded = LoadedSeries(asset, np.asarray(series.closes), series.dates, cfg.frequency.value, "prices")
-        out = _out_path(cfg, loaded, "ingest")
-        if cfg.fmt == "json":
-            _write_json(
-                out,
-                {
-                    "asset": asset,
-                    "frequency": series.frequency.value,
-                    "dropped_rows": series.dropped_rows,
-                    "points": [
-                        {"date": day.isoformat(), "close": float(close)}
-                        for day, close in zip(series.dates, series.closes)
-                    ],
-                },
-            )
-        else:
-            rows = [
-                {"date": day.isoformat(), "close": float(close)}
-                for day, close in zip(series.dates, series.closes)
-            ]
-            _write_table(out, ("date", "close"), rows)
-
-    return _for_each_asset(cfg, handle)
+def _ingest(args, asset: str, path: Path) -> None:
+    series = _prices(args, asset, path)
+    frequency = series.frequency.value
+    points = [
+        {"date": day.isoformat(), "close": float(close)}
+        for day, close in zip(series.dates, series.closes)
+    ]
+    _emit(args, (asset, frequency, "prices", "ingest"), ("date", "close"), lambda: points, lambda: {
+        "asset": asset,
+        "frequency": frequency,
+        "dropped_rows": series.dropped_rows,
+        "points": points,
+    })
 
 
-def _apen_or_none(values: np.ndarray, params: ApenParams) -> float | None:
-    try:
-        return apen(values, params)
-    except (TooShortError, ZeroToleranceError):
-        return None
-
-
-def cmd_report(cfg: AnalysisConfig) -> int:
+def _report(args) -> int:
     rows: list[dict] = []
 
-    def row_for(asset: str, frequency: str, target: str, values: np.ndarray) -> dict:
-        summary = summarize(values)
-        return {
-            "asset": asset,
-            "frequency": frequency,
-            "target": target,
-            "n": summary.n,
-            "mean": summary.mean,
-            "std_dev": summary.std_dev,
-            "coeff_variation": summary.coeff_variation,
-            "apen": _apen_or_none(values, cfg.apen_params),
-            "excess_kurtosis": summary.excess_kurtosis,
-        }
+    def add(asset: str, frequency: str, target: str, values: np.ndarray) -> None:
+        row = {"asset": asset, "frequency": frequency, "target": target}
+        row.update(summarize(values).to_row())
+        try:
+            row["apen"] = apen(values, args.apen_params)
+        except (TooShortError, ZeroToleranceError):
+            row["apen"] = None
+        rows.append({column: row[column] for column in REPORT_COLUMNS})
 
-    def handle(asset: str, path: Path) -> None:
-        header = _sniff_header(path)
-        if header == ["value"]:
-            values = _read_bare_values(path)
-            rows.append(row_for(asset, "na", "values", values))
+    def handle(args, asset: str, path: Path) -> None:
+        if _sniff_header(path) == ["value"]:
+            add(asset, "na", "values", _read_bare_values(path))
             return
-        series = ingest_csv(path, asset)
-        if asset in cfg.fill_weekend:
-            series = fill_weekend(series)
-        if cfg.frequency is not Frequency.DAILY:
-            series = resample(series, cfg.frequency)
-        rows.append(row_for(asset, cfg.frequency.value, "prices", np.asarray(series.closes)))
-        returns = log_returns(series, ReturnKind.SIGNED)
-        rows.append(row_for(asset, cfg.frequency.value, "returns", np.asarray(returns.values)))
+        prices = _prices(args, asset, path)
+        add(asset, args.frequency.value, "prices", prices.closes)
+        add(asset, args.frequency.value, "returns", log_returns(prices, ReturnKind.SIGNED).values)
 
-    status = _for_each_asset(cfg, handle)
-    out = cfg.out_dir / f"report_{cfg.frequency.value}.{cfg.fmt}"
-    if cfg.fmt == "json":
-        _write_json(out, [{k: _jsonable(v) for k, v in row.items()} for row in rows])
-    else:
-        _write_table(out, REPORT_COLUMNS, rows)
+    status = _each_asset(args, handle)
+    name = ("report", args.frequency.value)
+    _emit(args, name, REPORT_COLUMNS, lambda: rows, lambda: [_json_row(row) for row in rows])
     print(",".join(REPORT_COLUMNS))
     for row in rows:
         print(",".join(str(_cell(row[column])) for column in REPORT_COLUMNS))
     return status
 
 
-def cmd_stats(cfg: AnalysisConfig) -> int:
-    def handle(asset: str, path: Path) -> None:
-        loaded = _load(cfg, asset, path)
-        summary = summarize(loaded.values)
-        row = {
-            "asset": asset,
-            "frequency": loaded.frequency_label,
-            "target": loaded.target_label,
-            **summary.to_row(),
-        }
-        out = _out_path(cfg, loaded, "stats")
-        if cfg.fmt == "json":
-            _write_json(out, {k: _jsonable(v) for k, v in row.items()})
-        else:
-            _write_table(out, tuple(row.keys()), [row])
-
-    return _for_each_asset(cfg, handle)
+def _stats(args, asset: str, path: Path) -> None:
+    values, _, head = _load(args, asset, path)
+    _emit_row(args, {**head, **summarize(values).to_row()}, "stats")
 
 
-def cmd_apen(cfg: AnalysisConfig) -> int:
-    def handle(asset: str, path: Path) -> None:
-        loaded = _load(cfg, asset, path)
-        params = cfg.apen_params
-        value = apen(loaded.values, params)
-        row = {
-            "asset": asset,
-            "frequency": loaded.frequency_label,
-            "target": loaded.target_label,
-            "m": params.m,
-            "r_mode": params.r_mode.value,
-            "r_value": params.r_value,
-            "resolved_r": params.resolve_r(loaded.values),
-            "apen": value,
-        }
-        out = _out_path(cfg, loaded, "apen")
-        if cfg.fmt == "json":
-            _write_json(out, {k: _jsonable(v) for k, v in row.items()})
-        else:
-            _write_table(out, tuple(row.keys()), [row])
-
-    return _for_each_asset(cfg, handle)
+def _apen(args, asset: str, path: Path) -> None:
+    values, _, head = _load(args, asset, path)
+    params = args.apen_params
+    value = apen(values, params)
+    row = {
+        **head,
+        "m": params.m,
+        "r_mode": params.r_mode.value,
+        "r_value": params.r_value,
+        "resolved_r": params.resolve_r(values),
+        "apen": value,
+    }
+    _emit_row(args, row, "apen")
 
 
-def cmd_mef(cfg: AnalysisConfig) -> int:
-    def handle(asset: str, path: Path) -> None:
-        loaded = _load(cfg, asset, path)
-        curve = mean_excess(loaded.values, cfg.trim_fraction)
-        out = _out_path(cfg, loaded, "mef")
-        if cfg.fmt == "json":
-            _write_json(
-                out,
-                {
-                    "asset": asset,
-                    "frequency": loaded.frequency_label,
-                    "target": loaded.target_label,
-                    **curve.to_json_dict(),
-                },
-            )
-        else:
-            _write_table(out, ("threshold", "mean_excess", "exceedances"), curve.to_rows())
-
-    return _for_each_asset(cfg, handle)
+def _mef(args, asset: str, path: Path) -> None:
+    values, _, head = _load(args, asset, path)
+    curve = mean_excess(values, args.trim)
+    columns = ("threshold", "mean_excess", "exceedances")
+    _emit(args, (*head.values(), "mef"), columns, curve.to_rows,
+          lambda: {**head, **curve.to_json_dict()})
 
 
-def cmd_maxsum(cfg: AnalysisConfig) -> int:
-    def handle(asset: str, path: Path) -> None:
-        loaded = _load(cfg, asset, path)
-        traces = [max_to_sum(loaded.values, p) for p in cfg.orders]
-        out = _out_path(cfg, loaded, "maxsum")
-        if cfg.fmt == "json":
-            _write_json(
-                out,
-                {
-                    "asset": asset,
-                    "frequency": loaded.frequency_label,
-                    "target": loaded.target_label,
-                    "traces": [trace.to_json_dict() for trace in traces],
-                },
-            )
-        else:
-            rows = [row for trace in traces for row in trace.to_rows()]
-            _write_table(out, ("p", "n", "ratio"), rows)
-
-    return _for_each_asset(cfg, handle)
+def _maxsum(args, asset: str, path: Path) -> None:
+    values, _, head = _load(args, asset, path)
+    traces = [max_to_sum(values, p) for p in args.orders]
+    _emit(args, (*head.values(), "maxsum"), ("p", "n", "ratio"),
+          lambda: [row for trace in traces for row in trace.to_rows()],
+          lambda: {**head, "traces": [trace.to_json_dict() for trace in traces]})
 
 
-def cmd_rolling(cfg: AnalysisConfig) -> int:
-    def handle(asset: str, path: Path) -> None:
-        loaded = _load(cfg, asset, path)
-        series = rolling(
-            loaded.values,
-            cfg.window,
-            cfg.statistic,
-            dates=loaded.dates,
-            apen_params=cfg.apen_params,
-        )
-        rows = [
-            {
-                "date": day.isoformat() if hasattr(day, "isoformat") else day,
-                "value": float(value),
-            }
-            for day, value in zip(series.dates, series.values)
-        ]
-        out = _out_path(cfg, loaded, "rolling")
-        if cfg.fmt == "json":
-            _write_json(
-                out,
-                {
-                    "asset": asset,
-                    "frequency": loaded.frequency_label,
-                    "target": loaded.target_label,
-                    "statistic": series.statistic.value,
-                    "window": series.window,
-                    "points": [
-                        {"date": row["date"], "value": _jsonable(row["value"])} for row in rows
-                    ],
-                },
-            )
-        else:
-            _write_table(out, ("date", "value"), rows)
-
-    return _for_each_asset(cfg, handle)
+def _rolling(args, asset: str, path: Path) -> None:
+    values, dates, head = _load(args, asset, path)
+    series = rolling(values, args.window, args.statistic, dates=dates, apen_params=args.apen_params)
+    rows = [
+        {"date": day.isoformat() if hasattr(day, "isoformat") else day, "value": float(value)}
+        for day, value in zip(series.dates, series.values)
+    ]
+    _emit(args, (*head.values(), "rolling"), ("date", "value"), lambda: rows, lambda: {
+        **head,
+        "statistic": series.statistic.value,
+        "window": series.window,
+        "points": [_json_row(row) for row in rows],
+    })
 
 
-def cmd_synth(args: argparse.Namespace) -> int:
-    seed = args.seed
-    if seed is None:
-        raw = os.environ.get(SEED_ENV_VAR, "0")
-        try:
-            seed = int(raw)
-        except ValueError:
-            raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
-    try:
-        spec = GeneratorSpec(
-            family=Family(args.family),
-            n=args.n,
-            seed=seed,
-            mu=args.mu,
-            sigma=args.sigma,
-            lam=args.lam,
-            xi=args.xi,
-            beta=args.beta,
-            alpha=args.alpha,
-            x_min=args.x_min,
-        )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from None
-    values = generate(spec)
-    label = args.label or spec.family.value
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out = out_dir / f"{label}_na_values_synth.csv"
-    with out.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("value",))
-        for value in values:
-            writer.writerow((repr(float(value)),))
-    print(out)
+def _synth(args) -> int:
+    values = generate(args.spec)
+    name = (args.label or args.spec.family.value, "na", "values", "synth")
+    print(_emit(args, name, ("value",), lambda: [{"value": float(v)} for v in values], None))
     return EXIT_OK
 
 
@@ -495,91 +321,97 @@ def _parse_inputs(raw: list[str]) -> list[tuple[str, Path]]:
     return inputs
 
 
-def _analysis_config(args: argparse.Namespace) -> AnalysisConfig:
-    inputs = _parse_inputs(args.inputs)
-    frequency = Frequency(args.frequency)
-    fill = getattr(args, "fill_weekend", "") or ""
-    if fill.strip().lower() == "all":
-        fill_set = frozenset(asset for asset, _ in inputs)
-    else:
-        fill_set = frozenset(name.strip() for name in fill.split(",") if name.strip())
-        unknown = fill_set - {asset for asset, _ in inputs}
-        if unknown:
-            raise ConfigError(f"--fill-weekend names unknown assets: {sorted(unknown)}")
-    windows = dict(DEFAULT_WINDOWS)
-    window = getattr(args, "window", None)
+def _seed(flag: int | None) -> int:
+    if flag is not None:
+        return flag
+    raw = os.environ.get(SEED_ENV_VAR, "0")
     try:
-        apen_params = ApenParams(
-            m=getattr(args, "m", 2),
-            r_mode=getattr(args, "r_mode", "relative"),
-            r_value=getattr(args, "r", 0.2),
+        return int(raw)
+    except ValueError:
+        raise ConfigError(f"{SEED_ENV_VAR}={raw!r} is not an integer") from None
+
+
+def _resolve(args: argparse.Namespace) -> None:
+    """Turn the parsed flags into the values the subcommands use, in place,
+    then create --out. Raises ConfigError, or InvalidParameterError from the
+    library constructors that validate the parameters."""
+    if args.command == "synth":
+        args.spec = GeneratorSpec(
+            family=args.family,
+            n=args.n,
+            seed=_seed(args.seed),
+            mu=args.mu,
+            sigma=args.sigma,
+            lam=args.lam,
+            xi=args.xi,
+            beta=args.beta,
+            alpha=args.alpha,
+            x_min=args.x_min,
         )
-    except InvalidParameterError as exc:
-        raise ConfigError(str(exc)) from None
-    statistic = RollingStatistic(getattr(args, "statistic", "std_dev"))
-    if window is not None:
-        minimum = apen_params.m + 2 if statistic is RollingStatistic.APEN else 2
-        if window < minimum:
-            raise ConfigError(f"--window must be >= {minimum} for {statistic.value}")
-        windows[frequency] = window
-    trim = getattr(args, "trim", 0.02)
-    if not 0.0 <= trim < 0.5:
+    else:
+        args.inputs = _parse_inputs(args.inputs)
+        args.frequency = Frequency(args.frequency)
+        assets = {asset for asset, _ in args.inputs}
+        fill = args.fill_weekend
+        if fill.strip().lower() == "all":
+            args.fill = assets
+        else:
+            args.fill = {name.strip() for name in fill.split(",") if name.strip()}
+        if args.fill - assets:
+            raise ConfigError(f"--fill-weekend names unknown assets: {sorted(args.fill - assets)}")
+    # Each step below runs for the subcommands that have its flags.
+    if "m" in args:
+        args.apen_params = ApenParams(m=args.m, r_mode=args.r_mode, r_value=args.r)
+    if "statistic" in args:
+        args.statistic = RollingStatistic(args.statistic)
+        if args.window is None:
+            args.window = DEFAULT_WINDOWS[args.frequency]
+        minimum = args.apen_params.m + 2 if args.statistic is RollingStatistic.APEN else 2
+        if args.window < minimum:
+            raise ConfigError(f"--window must be >= {minimum} for {args.statistic.value}")
+    if "trim" in args and not 0.0 <= args.trim < 0.5:
         raise ConfigError("--trim must lie in [0, 0.5)")
-    p = getattr(args, "p", None)
-    orders = (p,) if p is not None else (1, 2, 3, 4)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    return AnalysisConfig(
-        inputs=inputs,
-        frequency=frequency,
-        target=Target(getattr(args, "target", "prices")),
-        fill_weekend=fill_set,
-        windows=windows,
-        statistic=statistic,
-        apen_params=apen_params,
-        trim_fraction=trim,
-        orders=orders,
-        out_dir=out_dir,
-        fmt=args.fmt,
-    )
+    if "p" in args:
+        args.orders = (args.p,) if args.p is not None else (1, 2, 3, 4)
+    args.out = Path(args.out)
+    args.out.mkdir(parents=True, exist_ok=True)
 
 
-def _add_io_flags(parser: argparse.ArgumentParser, *, target: bool = True) -> None:
-    parser.add_argument(
+def _build_parser() -> argparse.ArgumentParser:
+    io = argparse.ArgumentParser(add_help=False)
+    io.add_argument(
         "inputs",
         nargs="+",
         metavar="ASSET=PATH",
         help="input CSV; a bare PATH uses the file stem as the asset id",
     )
-    parser.add_argument(
+    io.add_argument(
         "--frequency",
         choices=[f.value for f in Frequency],
         default="daily",
         help="analysis frequency; daily inputs are resampled for weekly/monthly",
     )
-    if target:
-        parser.add_argument(
-            "--target",
-            choices=[t.value for t in Target],
-            default="prices",
-            help="series to analyze: closing prices or (absolute) log-returns",
-        )
-    parser.add_argument(
+    io.add_argument(
         "--fill-weekend",
         default="",
         metavar="ASSETS",
         help="comma-separated asset ids to forward-fill over non-trading days, or 'all'",
     )
-    parser.add_argument("--out", default=".", help="output directory")
-    parser.add_argument(
+    io.add_argument("--out", default=".", help="output directory")
+    io.add_argument(
         "--format", dest="fmt", choices=["csv", "json"], default="csv", help="output format"
     )
-
-
-def _add_apen_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--m", type=int, default=2, help="pattern length (default 2)")
-    parser.add_argument("--r", type=float, default=0.2, help="tolerance value (default 0.2)")
-    parser.add_argument(
+    target = argparse.ArgumentParser(add_help=False)
+    target.add_argument(
+        "--target",
+        choices=list(TARGETS),
+        default="prices",
+        help="series to analyze: closing prices or (absolute) log-returns",
+    )
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--m", type=int, default=2, help="pattern length (default 2)")
+    tolerance.add_argument("--r", type=float, default=0.2, help="tolerance value (default 0.2)")
+    tolerance.add_argument(
         "--r-mode",
         dest="r_mode",
         choices=["relative", "absolute"],
@@ -587,50 +419,42 @@ def _add_apen_flags(parser: argparse.ArgumentParser) -> None:
         help="tolerance mode: fraction of the window SD, or absolute units",
     )
 
-
-def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="tailscope",
         description="Volatility diagnostics for price series: descriptive statistics, "
         "approximate entropy, mean-excess curves, and max-to-sum moment traces.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
+    for name, run, parents, text in (
+        ("ingest", partial(_each_asset, handle=_ingest), [io],
+         "normalize price CSVs to date,close files"),
+        ("report", _report, [io, tolerance], "per-asset summary table for prices and returns"),
+        ("stats", partial(_each_asset, handle=_stats), [io, target],
+         "summary statistics for one target series"),
+        ("apen", partial(_each_asset, handle=_apen), [io, target, tolerance],
+         "approximate entropy of the target series"),
+        ("mef", partial(_each_asset, handle=_mef), [io, target],
+         "mean-excess curve with tail-shape label"),
+        ("maxsum", partial(_each_asset, handle=_maxsum), [io, target],
+         "max-to-sum moment-convergence traces"),
+        ("rolling", partial(_each_asset, handle=_rolling), [io, target, tolerance],
+         "rolling statistic over frequency-keyed windows"),
+        ("synth", _synth, [], "write a seeded synthetic sample as a value CSV"),
+    ):
+        commands[name] = sub.add_parser(name, parents=parents, help=text)
+        commands[name].set_defaults(run=run)
 
-    p = sub.add_parser("ingest", help="normalize price CSVs to date,close files")
-    _add_io_flags(p, target=False)
-    p.set_defaults(kind="analysis", runner=cmd_ingest)
-
-    p = sub.add_parser("report", help="per-asset summary table for prices and returns")
-    _add_io_flags(p, target=False)
-    _add_apen_flags(p)
-    p.set_defaults(kind="analysis", runner=cmd_report)
-
-    p = sub.add_parser("stats", help="summary statistics for one target series")
-    _add_io_flags(p)
-    p.set_defaults(kind="analysis", runner=cmd_stats)
-
-    p = sub.add_parser("apen", help="approximate entropy of the target series")
-    _add_io_flags(p)
-    _add_apen_flags(p)
-    p.set_defaults(kind="analysis", runner=cmd_apen)
-
-    p = sub.add_parser("mef", help="mean-excess curve with tail-shape label")
-    _add_io_flags(p)
-    p.add_argument(
+    commands["mef"].add_argument(
         "--trim",
         type=float,
         default=0.02,
         help="fraction of top order statistics to discard (default 0.02, floor 3)",
     )
-    p.set_defaults(kind="analysis", runner=cmd_mef)
-
-    p = sub.add_parser("maxsum", help="max-to-sum moment-convergence traces")
-    _add_io_flags(p)
-    p.add_argument("--p", type=int, choices=[1, 2, 3, 4], help="single order (default: all of 1..4)")
-    p.set_defaults(kind="analysis", runner=cmd_maxsum)
-
-    p = sub.add_parser("rolling", help="rolling statistic over frequency-keyed windows")
-    _add_io_flags(p)
+    commands["maxsum"].add_argument(
+        "--p", type=int, choices=[1, 2, 3, 4], help="single order (default: all of 1..4)"
+    )
+    p = commands["rolling"]
     p.add_argument(
         "--statistic",
         choices=[s.value for s in RollingStatistic],
@@ -640,12 +464,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--window",
         type=int,
-        help="observations per window (defaults: daily 100, weekly 20, monthly 3)",
+        help="observations per window (defaults: daily 100, weekly 20, monthly 3; "
+        "apen needs at least m + 2)",
     )
-    _add_apen_flags(p)
-    p.set_defaults(kind="analysis", runner=cmd_rolling)
-
-    p = sub.add_parser("synth", help="write a seeded synthetic sample as a value CSV")
+    p = commands["synth"]
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--n", type=int, required=True, help="sample size")
     p.add_argument(
@@ -660,22 +482,18 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--x-min", dest="x_min", type=float, default=1.0, help="pareto lower bound")
     p.add_argument("--label", default=None, help="output label (default: family name)")
     p.add_argument("--out", default=".", help="output directory")
-    p.set_defaults(kind="synth", runner=cmd_synth)
-
+    p.set_defaults(fmt="csv")
     return parser
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        if args.kind == "synth":
-            return args.runner(args)
-        cfg = _analysis_config(args)
-        return args.runner(cfg)
-    except ConfigError as exc:
+        _resolve(args)
+    except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    return args.run(args)
 
 
 if __name__ == "__main__":

@@ -29,7 +29,6 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
-from scipy.special import ndtri
 
 from .errors import InvalidParameterError
 
@@ -101,10 +100,11 @@ def generate(spec: GeneratorSpec) -> np.ndarray:
         if not zero.any():
             break
         u[zero] = rng.random(int(zero.sum()))
-    if spec.family is Family.GAUSSIAN:
-        return spec.mu + spec.sigma * ndtri(u)
-    if spec.family is Family.LOGNORMAL:
-        return np.exp(spec.mu + spec.sigma * ndtri(u))
+    if spec.family in (Family.GAUSSIAN, Family.LOGNORMAL):
+        from scipy.special import ndtri  # deferred: scipy costs more to import than numpy
+
+        z = spec.mu + spec.sigma * ndtri(u)
+        return z if spec.family is Family.GAUSSIAN else np.exp(z)
     e = -np.log1p(-u)
     if spec.family is Family.EXPONENTIAL:
         return e / spec.lam

@@ -1,8 +1,10 @@
 import csv
 import datetime as dt
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -244,3 +246,46 @@ class TestEntryPoint:
         )
         assert result.returncode == 0
         assert "maxsum" in result.stdout
+
+
+class TestResolvedWindow:
+    def test_default_window_below_apen_minimum_is_config_error(self, tmp_path, price_file, capsys):
+        out = tmp_path / "out"
+        code = main(
+            ["rolling", f"btc={price_file}", "--statistic", "apen", "--frequency", "monthly",
+             "--out", str(out)]
+        )
+        assert code == EXIT_CONFIG
+        assert "--window" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestBareValues:
+    @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+    def test_non_finite_value_fails_asset(self, tmp_path, capsys, bad):
+        path = tmp_path / "sample.csv"
+        path.write_text(f"value\n1.5\n2.5\n{bad}\n3.5\n", encoding="utf-8")
+        out = tmp_path / "out"
+        assert main(["stats", f"s={path}", "--out", str(out)]) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert "UnparsableRowError" in err
+        assert "row 4" in err
+        assert list(out.iterdir()) == []
+
+
+class TestStartup:
+    def test_cli_import_loads_no_scipy(self):
+        import tailscope
+
+        env = dict(os.environ)
+        src = str(Path(tailscope.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = (
+            "import sys, tailscope.cli; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+        )
+        result = subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True, env=env
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "[]"
