@@ -192,11 +192,14 @@ def mean_excess(values, trim_fraction: float = 0.02) -> MefCurve:
     if thresholds.size == 0:
         raise TooFewPointsError("no thresholds strictly below the sample maximum")
     # Suffix sums over the sorted sample give every threshold in O(n log n).
-    suffix = np.cumsum(sorted_vals[::-1])[::-1]
     first_above = np.searchsorted(sorted_vals, thresholds, side="right")
     counts = n - first_above
-    excess = suffix[first_above] - thresholds * counts
-    me = excess / counts
+    with np.errstate(over="ignore", invalid="ignore"):
+        suffix = np.cumsum(sorted_vals[::-1])[::-1]
+        excess = suffix[first_above] - thresholds * counts
+        me = excess / counts
+    if not np.isfinite(me).all():
+        raise InvalidParameterError("suffix sums overflow float64; mean excess is not finite")
     try:
         shape = classify_shape(thresholds, me)
     except TooFewPointsError:
@@ -289,9 +292,14 @@ def max_to_sum(
         raise NegativeValueError("values must be non-negative")
     if not (arr > 0.0).any():
         raise AllZeroError("all values are zero")
-    powered = arr ** int(p)
+    with np.errstate(over="ignore"):
+        powered = arr ** int(p)
+        running_sum = np.cumsum(powered)
+    if not np.isfinite(running_sum[-1]):
+        raise InvalidParameterError(
+            f"order p={p} overflows float64: the running sum of x**{p} is not finite"
+        )
     running_max = np.maximum.accumulate(powered)
-    running_sum = np.cumsum(powered)
     ratios = np.divide(
         running_max,
         running_sum,

@@ -6,6 +6,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .apen import ApenParams, apen as _apen_value
 from .errors import (
@@ -17,6 +18,9 @@ from .errors import (
 
 # Below this magnitude the mean is treated as zero and CV flagged undefined.
 _CV_MEAN_FLOOR = 1e-12
+# Rolling SD and CV reduce blocks of windows of at most this many cells, so
+# their temporaries stay near 512 KB whatever the series length.
+_ROLLING_BLOCK_CELLS = 65_536
 
 
 class RollingStatistic(str, Enum):
@@ -75,6 +79,8 @@ def summarize(values) -> StatsSummary:
     arr = np.asarray(values, dtype=np.float64)
     if arr.size < 2:
         raise TooShortError("summary statistics need at least two values")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError("values must be finite")
     cv = _coeff_variation(arr)
     kurt = _excess_kurtosis(arr)
     return StatsSummary(
@@ -145,6 +151,8 @@ def rolling(
         )
     if window > n:
         raise WindowTooLargeError(f"window {window} exceeds series length {n}")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError("values must be finite")
     if dates is not None:
         labels = tuple(dates)
         if len(labels) != n:
@@ -153,12 +161,20 @@ def rolling(
     else:
         labels = tuple(range(window - 1, n))
     out = np.empty(n - window + 1, dtype=np.float64)
-    for i in range(out.size):
-        segment = arr[i : i + window]
-        if stat is RollingStatistic.STD_DEV:
-            out[i] = _std(segment)
-        elif stat is RollingStatistic.COEFF_VARIATION:
-            out[i] = _coeff_variation(segment)
-        else:
-            out[i] = _apen_value(segment, params)
+    if stat is RollingStatistic.APEN:
+        for i in range(out.size):
+            out[i] = _apen_value(arr[i : i + window], params)
+    else:
+        # Each window is reduced on its own row with the same pairwise sums
+        # as _std and _coeff_variation, so the values match theirs to the bit.
+        windows = sliding_window_view(arr, window)
+        step = max(1, _ROLLING_BLOCK_CELLS // window)
+        for start in range(0, out.size, step):
+            block = windows[start : start + step]
+            sd = block.std(axis=1, ddof=1)
+            if stat is RollingStatistic.COEFF_VARIATION:
+                mean = block.mean(axis=1)
+                defined = np.abs(mean) >= _CV_MEAN_FLOOR
+                sd = np.divide(sd, mean, out=np.full_like(sd, np.nan), where=defined)
+            out[start : start + step] = sd
     return RollingSeries(stat, window, labels, out)

@@ -1,3 +1,4 @@
+import importlib
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from tailscope.errors import (
     ZeroToleranceError,
 )
 
-from reference_apen import apen_direct
+from reference_apen import apen_dense, apen_direct
 
 X = [0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0]
 Y = [-1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0, -1.0, 1.0, 0.0]
@@ -140,3 +141,64 @@ class TestRollingApen:
     def test_window_too_large(self):
         with pytest.raises(WindowTooLargeError):
             rolling_apen(np.zeros(10), 11)
+
+
+def _absolute(m, r):
+    return ApenParams(m=m, r_mode=RMode.ABSOLUTE, r_value=r)
+
+
+def _kernel_inputs():
+    rng = np.random.default_rng(7171)
+    gauss = rng.normal(size=800)
+    walk = 100.0 * np.exp(np.cumsum(0.01 * rng.standard_t(4, 800)))
+    lattice = rng.integers(-3, 4, 800).astype(np.float64)
+    return {"gauss": gauss, "walk": walk, "lattice": lattice}
+
+
+class TestBandKernel:
+    """The sorted-band kernel against the direct count and the dense kernel."""
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_matches_direct_count_oracle(self, m):
+        data = np.random.default_rng(800 + m).normal(size=800)
+        r = 0.2 * float(data.std(ddof=1))
+        assert apen(data, _absolute(m, r)) == pytest.approx(apen_direct(data, m, r), abs=1e-12)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_integer_lattice_ties_on_band_edge(self, m):
+        # With r = 1.0 many pairs sit exactly at |u_i - u_j| == r, which is
+        # the edge of every band; they must all be counted as matches.
+        data = np.random.default_rng(31 + m).integers(0, 6, 300).astype(np.float64)
+        value = apen(data, _absolute(m, 1.0))
+        assert value == pytest.approx(apen_direct(data, m, 1.0), abs=1e-12)
+        assert value == apen_dense(data, m, 1.0)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_minimum_length(self, m):
+        data = np.array([0.3, -1.2, 0.9, 2.4, -0.5])[: m + 2]
+        for r in (0.5, 1.5, 10.0):
+            value = apen(data, _absolute(m, r))
+            assert value == pytest.approx(apen_direct(data, m, r), abs=1e-12)
+            assert value == apen_dense(data, m, r)
+
+    def test_tolerance_near_float_max(self):
+        # Every pair matches, and the band bound 8e307 + r overflows even
+        # though r and its few-ulp slack are finite.
+        data = np.concatenate(([8e307], np.arange(40.0)))
+        r = math.nextafter(float(np.finfo(np.float64).max) - 8e307, 0.0)
+        assert apen(data, _absolute(2, r)) == apen_dense(data, 2, r) == 0.0
+
+    @pytest.mark.parametrize("cells", [1, 997, 20_000])
+    def test_small_chunks_cross_many_blocks(self, monkeypatch, cells):
+        monkeypatch.setattr(importlib.import_module("tailscope.apen"), "_CHUNK_CELLS", cells)
+        for name, data in _kernel_inputs().items():
+            for m in (1, 2, 3):
+                r = 1.0 if name == "lattice" else 0.2 * float(data.std(ddof=1))
+                assert apen(data, _absolute(m, r)) == apen_dense(data, m, r), (name, m)
+
+    @pytest.mark.parametrize("name", ["gauss", "walk", "lattice"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bit_identical_to_dense_kernel(self, name, m):
+        data = _kernel_inputs()[name]
+        params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
+        assert apen(data, params) == apen_dense(data, m, params.resolve_r(data))

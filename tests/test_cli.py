@@ -273,6 +273,20 @@ class TestBareValues:
         assert list(out.iterdir()) == []
 
 
+class TestOverflow:
+    def test_maxsum_overflow_fails_asset_without_nan(self, tmp_path, capsys):
+        values = np.random.default_rng(80).uniform(1e80, 2e80, 50)
+        path = tmp_path / "big.csv"
+        path.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in values), encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["maxsum", f"big={path}", "--p", "4", "--format", "json", "--out", str(out)]
+        assert main(argv) == EXIT_PARTIAL
+        err = capsys.readouterr().err
+        assert err.startswith("big: InvalidParameterError")
+        assert "p=4" in err
+        assert not any("NaN" in f.read_text(encoding="utf-8") for f in out.iterdir())
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         import tailscope

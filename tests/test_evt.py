@@ -124,6 +124,11 @@ class TestMeanExcess:
         np.testing.assert_array_equal(scaled.thresholds, 8.0 * base.thresholds)
         np.testing.assert_array_equal(scaled.mean_excess, 8.0 * base.mean_excess)
 
+    def test_overflowing_suffix_sums_raise(self):
+        values = np.random.default_rng(308).uniform(1e307, 1.7e308, 50)
+        with pytest.raises(InvalidParameterError, match="finite"):
+            mean_excess(values)
+
 
 class TestClassifyShape:
     def test_exact_line(self):
@@ -213,6 +218,12 @@ class TestMaxToSum:
     def test_rejects_negative(self):
         with pytest.raises(NegativeValueError):
             max_to_sum([1.0, -2.0], 2)
+
+    def test_overflowing_order_raises(self):
+        values = np.random.default_rng(80).uniform(1e80, 2e80, 50)
+        assert np.isfinite(max_to_sum(values, 3).ratios).all()
+        with pytest.raises(InvalidParameterError, match="p=4"):
+            max_to_sum(values, 4)
 
     def test_inconclusive_band(self):
         # final ratio between 0.02 and 0.10 with a quiet last decile

@@ -1,10 +1,16 @@
+import importlib
 import math
 
 import numpy as np
 import pytest
 import scipy.stats
 
-from tailscope.errors import TooShortError, WindowTooLargeError, WindowTooSmallError
+from tailscope.errors import (
+    InvalidParameterError,
+    TooShortError,
+    WindowTooLargeError,
+    WindowTooSmallError,
+)
 from tailscope.stats import RollingStatistic, rolling, summarize
 
 TOY = [0.0, 1.0, 0.0, -1.0, 0.0, 1.0, -1.0, 0.0, 10000.0]
@@ -123,3 +129,53 @@ class TestRolling:
         assert scaled.mean == pytest.approx(2.5 * base.mean + 1.75, rel=1e-9)
         assert scaled.std_dev == pytest.approx(2.5 * base.std_dev, rel=1e-9)
         assert scaled.excess_kurtosis == pytest.approx(base.excess_kurtosis, rel=1e-9)
+
+
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")])
+def test_summarize_rejects_non_finite(bad):
+    with pytest.raises(InvalidParameterError, match="finite"):
+        summarize([1.0, bad, 2.0, 3.0])
+
+
+@pytest.mark.parametrize("statistic", ["std_dev", "coeff_variation", "apen"])
+def test_rolling_rejects_non_finite(statistic):
+    values = np.linspace(1.0, 2.0, 12)
+    values[7] = float("nan")
+    with pytest.raises(InvalidParameterError, match="finite"):
+        rolling(values, 5, statistic)
+
+
+def _window_loop(values, window, statistic):
+    """Per-window reference: the summary statistics of each window alone."""
+    out = []
+    for i in range(len(values) - window + 1):
+        segment = values[i : i + window]
+        sd = float(segment.std(ddof=1))
+        if statistic == "std_dev":
+            out.append(sd)
+        else:
+            mean = segment.mean()
+            out.append(float("nan") if abs(mean) < 1e-12 else float(sd / mean))
+    return np.array(out)
+
+
+@pytest.mark.parametrize("statistic", ["std_dev", "coeff_variation"])
+@pytest.mark.parametrize("block_cells", [65_536, 300])
+def test_rolling_sd_cv_bit_identical_to_window_loop(monkeypatch, statistic, block_cells):
+    stats_module = importlib.import_module("tailscope.stats")
+    monkeypatch.setattr(stats_module, "_ROLLING_BLOCK_CELLS", block_cells)
+    rng = np.random.default_rng(2718)
+    n = 1_200
+    inputs = {
+        "gauss": rng.normal(size=n),
+        "offset_t3_walk": 1e6 + np.cumsum(rng.standard_t(3, n)),
+        "pareto": rng.pareto(1.1, n),
+        "constant_runs": np.repeat(rng.normal(size=n // 40), 40),
+        "tiny": 1e-300 * rng.normal(size=n),
+        "coin": rng.integers(0, 2, n) - 0.5,
+    }
+    for name, values in inputs.items():
+        for window in (2, 3, 7, 127, 128, 129, 300, 1_000):
+            got = rolling(values, window, statistic).values
+            want = _window_loop(values, window, statistic)
+            assert np.array_equal(got, want, equal_nan=True), (name, window)
