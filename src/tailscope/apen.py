@@ -33,6 +33,12 @@ from .errors import InvalidParameterError, TooShortError, ZeroToleranceError
 # and a series shorter than two blocks is one block.
 _BLOCK_ROWS = 64
 _CHUNK_CELLS = 4_194_304
+# Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and splits
+# their template rows into slabs whose match masks hold at most
+# _ROLLING_CELLS cells, so its buffers stay near 0.5 MB at a window of 100
+# and grow only linearly with the window.
+_ROLLING_WINDOWS = 24
+_ROLLING_CELLS = 262_144
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -67,9 +73,27 @@ class ApenParams:
         """Tolerance in data units for the given window."""
         if self.r_mode is RMode.ABSOLUTE:
             return self.r_value
-        r = self.r_value * float(np.asarray(values, dtype=np.float64).std(ddof=1))
-        if not np.isfinite(r) or r <= 0.0:
-            raise ZeroToleranceError("relative tolerance resolves to zero on a constant window")
+        with np.errstate(over="ignore", invalid="ignore"):
+            sd = np.asarray(values, dtype=np.float64).std(ddof=1)
+        return float(self.relative_r(sd))
+
+    def relative_r(self, sd) -> np.ndarray:
+        """``r_value * sd`` for windows of sample SD ``sd``, in window order.
+
+        The first window whose tolerance is zero raises ZeroToleranceError,
+        and the first whose tolerance is not finite (its SD overflows
+        float64) raises InvalidParameterError.
+        """
+        with np.errstate(over="ignore", invalid="ignore"):
+            r = self.r_value * np.asarray(sd, dtype=np.float64)
+        bad = np.flatnonzero(~((r > 0.0) & (r < np.inf)))
+        if bad.size:
+            if np.isfinite(r.flat[bad[0]]):
+                raise ZeroToleranceError("relative tolerance resolves to zero on a constant window")
+            raise InvalidParameterError(
+                "relative tolerance is not finite: the window's standard deviation "
+                "overflows float64"
+            )
         return r
 
 
@@ -165,11 +189,80 @@ def apen(values, params: ApenParams | None = None) -> float:
     return phi_m - phi_m1
 
 
+def _count_blocks(dist, windows, rows, size, r, mask, out) -> None:
+    """Matches within r[b] of each of ``rows`` rows of window b's block.
+
+    Window b's block starts at dist[b, b]: a strided view lays the blocks of
+    all ``windows`` windows side by side without copying them. The view is
+    built by the ndarray constructor, which checks that it stays inside
+    ``dist``; ``as_strided`` builds the same view several times slower.
+    """
+    s0, s1 = dist.strides
+    blocks = np.ndarray((windows, rows, size), dist.dtype, dist, 0, (s0 + s1, s0, s1))
+    within = mask[: windows * rows * size].reshape(windows, rows, size)
+    np.less_equal(blocks, r, out=within)
+    np.add.reduce(within, axis=2, dtype=np.int32, out=out)
+
+
+def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.ndarray:
+    """ApEn of every window of ``window`` observations, window i at tolerance r[i].
+
+    Templates are numbered along the whole series, so window b holds
+    templates b .. b + t - 1 (t = window - m + 1) and its Chebyshev distances
+    are the diagonal block D[b:b+t, b:b+t] of one matrix D over all
+    templates. A chunk of consecutive windows fills the part of D its blocks
+    cover once per slab of rows and compares every block with its own r in
+    one call. As in _phi_pair, the m counts are taken before the (m+1)-th
+    coordinate is folded in, and a trailing NaN stands in for the (m+1)-th
+    coordinate of the series' last template, which no m + 1 count uses. Every
+    count is the integer that apen counts for that window alone, and each
+    window's logarithms are summed in the same order, so every value is
+    the one apen gives the window, to the bit.
+    """
+    t = window - m + 1
+    total = arr.size - window + 1
+    ext = np.append(arr, np.nan)
+    coords = [ext[k : k + arr.size - m + 1] for k in range(m + 1)]
+    chunk = min(_ROLLING_WINDOWS, total)
+    slab = min(t, max(1, _ROLLING_CELLS // (chunk * t)))
+    cells = (slab + chunk - 1) * (chunk + t - 1)
+    dist_buf, diff_buf = np.empty(cells), np.empty(cells)
+    mask = np.empty(chunk * slab * t, dtype=bool)
+    counts = np.empty((2, chunk, t), dtype=np.int32)
+    out = np.empty(total)
+    for first in range(0, total, chunk):
+        b = min(chunk, total - first)
+        cols = slice(first, first + b + t - 1)
+        r_b = r[first : first + b, None, None]
+        for top in range(0, t, slab):
+            h = min(slab, t - top)
+            rows = slice(first + top, first + top + h + b - 1)
+            shape = (h + b - 1, b + t - 1)
+            dist = dist_buf[: shape[0] * shape[1]].reshape(shape)
+            diff = diff_buf[: shape[0] * shape[1]].reshape(shape)
+            np.subtract.outer(coords[0][rows], coords[0][cols], out=dist)
+            np.abs(dist, out=dist)
+            for k in range(1, m + 1):
+                if k == m:
+                    _count_blocks(dist, b, h, t, r_b, mask, counts[0, :b, top : top + h])
+                np.subtract.outer(coords[k][rows], coords[k][cols], out=diff)
+                np.abs(diff, out=diff)
+                np.maximum(dist, diff, out=dist)
+            # Row t - 1 is no (m+1)-template of its window: counted, not used.
+            _count_blocks(dist, b, h, t - 1, r_b, mask, counts[1, :b, top : top + h])
+        phi_m = np.log(counts[0, :b] / t).mean(axis=1)
+        phi_m1 = np.log(counts[1, :b, : t - 1] / (t - 1)).mean(axis=1)
+        np.subtract(phi_m, phi_m1, out=out[first : first + b])
+    return out
+
+
 def rolling_apen(values, window: int, params: ApenParams | None = None, *, dates=None):
     """ApEn over every full window of ``window`` observations.
 
     A relative tolerance is re-resolved from each window's own standard
-    deviation. Windows are independent and may be evaluated in parallel.
+    deviation. Windows are counted in batches from diagonal blocks of one
+    template distance matrix per chunk; each value is bit-identical to
+    ``apen`` on that window alone.
     """
     from .stats import rolling  # deferred import; stats dispatches back here
 

@@ -8,7 +8,7 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .apen import ApenParams, apen as _apen_value
+from .apen import ApenParams, RMode, _rolling_apen
 from .errors import (
     InvalidParameterError,
     TooShortError,
@@ -18,8 +18,8 @@ from .errors import (
 
 # Below this magnitude the mean is treated as zero and CV flagged undefined.
 _CV_MEAN_FLOOR = 1e-12
-# Rolling SD and CV reduce blocks of windows of at most this many cells, so
-# their temporaries stay near 512 KB whatever the series length.
+# Rolling SD reduces blocks of windows of at most this many cells, so its
+# temporaries stay near 512 KB whatever the series length.
 _ROLLING_BLOCK_CELLS = 65_536
 
 
@@ -66,12 +66,20 @@ def _excess_kurtosis(arr: np.ndarray) -> float:
     if n < 4:
         return float("nan")
     dev = arr - arr.mean()
-    s2 = float((dev**2).sum()) / (n - 1)
-    if s2 == 0.0:
-        return float("nan")
-    quartic = float((dev**4).sum()) / (s2 * s2)
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        quartic = _quartic_ratio(dev)
+        if not np.isfinite(quartic):
+            # Kurtosis is scale-invariant, so moments that overflow (or whose
+            # square vanishes) are taken again on dev / max|dev|; a constant
+            # sample stays NaN.
+            quartic = _quartic_ratio(dev / np.abs(dev).max())
     adjust = 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
     return n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * quartic - adjust
+
+
+def _quartic_ratio(dev: np.ndarray) -> float:
+    s2 = (dev**2).sum() / (dev.size - 1)
+    return float((dev**4).sum() / (s2 * s2))
 
 
 def summarize(values) -> StatsSummary:
@@ -130,8 +138,10 @@ def rolling(
     observations, producing n - window + 1 points dated at window ends.
 
     Windows that leave a coefficient of variation undefined (mean within
-    1e-12 of zero) yield NaN so point count stays n - window + 1. Windows
-    are independent; evaluation is safe to parallelize.
+    1e-12 of zero) yield NaN so point count stays n - window + 1. SD and CV
+    reduce blocks of windows over a sliding-window view, and ApEn counts the
+    matches of a chunk of windows at once (see ``apen._rolling_apen``); every
+    value is bit-identical to the statistic of its window alone.
     """
     arr = np.asarray(values, dtype=np.float64)
     stat = RollingStatistic(statistic)
@@ -160,21 +170,32 @@ def rolling(
         labels = labels[window - 1 :]
     else:
         labels = tuple(range(window - 1, n))
-    out = np.empty(n - window + 1, dtype=np.float64)
     if stat is RollingStatistic.APEN:
-        for i in range(out.size):
-            out[i] = _apen_value(arr[i : i + window], params)
+        if params.r_mode is RMode.ABSOLUTE:
+            r = np.full(n - window + 1, params.r_value)
+        else:
+            with np.errstate(over="ignore", invalid="ignore"):
+                sd = _rolling_sd(arr, window)
+            r = params.relative_r(sd)
+        out = _rolling_apen(arr, window, params.m, r)
     else:
-        # Each window is reduced on its own row with the same pairwise sums
-        # as _std and _coeff_variation, so the values match theirs to the bit.
-        windows = sliding_window_view(arr, window)
-        step = max(1, _ROLLING_BLOCK_CELLS // window)
-        for start in range(0, out.size, step):
-            block = windows[start : start + step]
-            sd = block.std(axis=1, ddof=1)
-            if stat is RollingStatistic.COEFF_VARIATION:
-                mean = block.mean(axis=1)
-                defined = np.abs(mean) >= _CV_MEAN_FLOOR
-                sd = np.divide(sd, mean, out=np.full_like(sd, np.nan), where=defined)
-            out[start : start + step] = sd
+        out = _rolling_sd(arr, window)
+        if stat is RollingStatistic.COEFF_VARIATION:
+            mean = sliding_window_view(arr, window).mean(axis=1)
+            defined = np.abs(mean) >= _CV_MEAN_FLOOR
+            out = np.divide(out, mean, out=np.full_like(out, np.nan), where=defined)
     return RollingSeries(stat, window, labels, out)
+
+
+def _rolling_sd(arr: np.ndarray, window: int) -> np.ndarray:
+    """Sample SD of every window of ``arr``.
+
+    Each window is reduced on its own row with the same pairwise sums as
+    _std, so the values match its values to the bit.
+    """
+    windows = sliding_window_view(arr, window)
+    sd = np.empty(windows.shape[0])
+    step = max(1, _ROLLING_BLOCK_CELLS // window)
+    for start in range(0, sd.size, step):
+        sd[start : start + step] = windows[start : start + step].std(axis=1, ddof=1)
+    return sd

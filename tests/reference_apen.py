@@ -57,3 +57,20 @@ def apen_dense(values, m, r, chunk_cells=4_194_304):
         return float(np.mean(np.log(counts / t)))
 
     return phi(m) - phi(m + 1)
+
+
+def rolling_apen_loop(values, window, params=None):
+    """Per-window ApEn, kept as the bit-identity reference for the batched kernel.
+
+    Calls ``apen`` on each window alone, exactly as ``stats.rolling`` did
+    before it counted the matches of a chunk of windows at once.
+    """
+    import numpy as np
+
+    from tailscope.apen import apen
+
+    arr = np.asarray(values, dtype=np.float64)
+    out = np.empty(arr.size - window + 1, dtype=np.float64)
+    for i in range(out.size):
+        out[i] = apen(arr[i : i + window], params)
+    return out

@@ -12,7 +12,7 @@ from tailscope.errors import (
     ZeroToleranceError,
 )
 
-from reference_apen import apen_dense, apen_direct
+from reference_apen import apen_dense, apen_direct, rolling_apen_loop
 
 X = [0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0]
 Y = [-1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0, -1.0, 1.0, 0.0]
@@ -202,3 +202,82 @@ class TestBandKernel:
         data = _kernel_inputs()[name]
         params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
         assert apen(data, params) == apen_dense(data, m, params.resolve_r(data))
+
+
+def _rolling_inputs(n):
+    rng = np.random.default_rng(4242)
+    return {
+        "gauss": rng.normal(size=n),
+        "walk": 100.0 * np.exp(np.cumsum(0.01 * rng.standard_t(4, n))),
+        "lattice": rng.integers(-3, 4, n).astype(np.float64),
+    }
+
+
+class TestBatchedRollingApen:
+    """Rolling ApEn from diagonal blocks against apen on each window alone."""
+
+    # (windows per chunk, mask cells per slab): the default, one window per
+    # chunk, an odd chunk, a chunk wider than the window count, and slabs of
+    # one row and of a few rows.
+    CHUNKINGS = [(None, None), (1, None), (7, None), (10_000, None), (7, 1), (24, 1_000)]
+
+    @pytest.mark.parametrize("name", ["gauss", "walk", "lattice"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_bit_identical_to_window_loop(self, monkeypatch, name, m):
+        apen_module = importlib.import_module("tailscope.apen")
+        n = 260
+        data = _rolling_inputs(n)[name]
+        params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
+        for window in (m + 2, 7, 99, 100, 129, n):
+            want = rolling_apen_loop(data, window, params)
+            for windows, cells in self.CHUNKINGS:
+                with monkeypatch.context() as patch:
+                    if windows is not None:
+                        patch.setattr(apen_module, "_ROLLING_WINDOWS", windows)
+                    if cells is not None:
+                        patch.setattr(apen_module, "_ROLLING_CELLS", cells)
+                    got = rolling_apen(data, window, params).values
+                assert np.array_equal(got, want), (window, windows, cells)
+
+    def test_constant_run_raises_zero_tolerance(self):
+        data = np.random.default_rng(12).normal(size=300)
+        data[100:220] = 3.0
+        with pytest.raises(ZeroToleranceError):
+            rolling_apen(data, 100)
+        with pytest.raises(ZeroToleranceError):
+            rolling_apen_loop(data, 100)
+
+    def test_first_failing_window_decides_the_error(self):
+        # One window is constant and another's SD overflows; the window that
+        # comes first decides, as it would for apen on each window in turn.
+        rng = np.random.default_rng(13)
+        constant, huge = np.full(20, 2.0), 1e160 * rng.normal(size=20)
+        for data, error in (
+            (np.concatenate((constant, huge)), ZeroToleranceError),
+            (np.concatenate((huge, constant)), InvalidParameterError),
+        ):
+            with pytest.raises(error):
+                rolling_apen(data, 10)
+            with pytest.raises(error):
+                rolling_apen_loop(data, 10)
+
+
+class TestToleranceOverflow:
+    """A window whose SD overflows float64 is an invalid input, not a constant one."""
+
+    def test_apen_raises_invalid_parameter(self):
+        data = 1e160 * np.random.default_rng(50).normal(size=50)
+        with pytest.raises(InvalidParameterError, match="overflows float64"):
+            apen(data)
+
+    def test_rolling_apen_raises_invalid_parameter(self):
+        data = 1e160 * np.random.default_rng(51).normal(size=150)
+        with pytest.raises(InvalidParameterError, match="overflows float64"):
+            rolling_apen(data, 100)
+
+    def test_absolute_tolerance_needs_no_sd(self):
+        data = 1e160 * np.random.default_rng(52).normal(size=60)
+        params = _absolute(2, 1e159)
+        assert np.array_equal(
+            rolling_apen(data, 30, params).values, rolling_apen_loop(data, 30, params)
+        )

@@ -179,3 +179,12 @@ def test_rolling_sd_cv_bit_identical_to_window_loop(monkeypatch, statistic, bloc
             got = rolling(values, window, statistic).values
             want = _window_loop(values, window, statistic)
             assert np.array_equal(got, want, equal_nan=True), (name, window)
+
+
+@pytest.mark.parametrize("scale", [1e80, 1e-85])
+def test_kurtosis_where_moments_overflow_or_vanish(scale):
+    # At 1e80 the fourth powers overflow; at 1e-85 the squared variance
+    # vanishes. Either way the kurtosis is that of the sample over its scale.
+    values = np.random.default_rng(80).uniform(1.0, 2.0, 50) * scale
+    got = summarize(values).excess_kurtosis
+    assert got == pytest.approx(summarize(values / scale).excess_kurtosis, rel=1e-12)
