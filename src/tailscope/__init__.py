@@ -43,7 +43,6 @@ from .series import (
     ingest_csv,
     log_returns,
     resample,
-    write_csv,
 )
 from .stats import RollingSeries, RollingStatistic, StatsSummary, rolling, summarize
 from .synth import Family, GeneratorSpec, generate
@@ -72,7 +71,6 @@ __all__ = [
     "ingest_csv",
     "log_returns",
     "resample",
-    "write_csv",
     "RollingSeries",
     "RollingStatistic",
     "StatsSummary",

@@ -17,6 +17,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 from functools import partial
 from pathlib import Path
 
@@ -31,7 +32,7 @@ from .errors import (
     UnparsableRowError,
     ZeroToleranceError,
 )
-from .evt import max_to_sum, mean_excess
+from .evt import fitted_slope, max_to_sum, mean_excess
 from .series import Frequency, ReturnKind, fill_weekend, ingest_csv, log_returns, resample
 from .stats import RollingStatistic, rolling, summarize
 from .synth import Family, GeneratorSpec, generate
@@ -141,43 +142,45 @@ def _load(args, asset: str, path: Path):
 # ---------------------------------------------------------------------------
 
 
-def _cell(value):
-    if value is None or isinstance(value, float) and math.isnan(value):
-        return ""
-    return repr(value) if isinstance(value, float) else value
+def _values(column) -> list:
+    """A column (numpy array or list) as Python values, with NaN as None."""
+    values = column.tolist() if isinstance(column, np.ndarray) else column
+    return [None if value != value else value for value in values]
 
 
-def _json_row(row: dict) -> dict:
-    return {k: None if isinstance(v, float) and math.isnan(v) else v for k, v in row.items()}
+def _records(table: dict) -> list[dict]:
+    """The table's rows as JSON objects keyed by column name."""
+    return [dict(zip(table, row)) for row in zip(*map(_values, table.values()))]
 
 
-def _emit(args, name: tuple, columns, rows, payload) -> Path:
+def _emit(args, name: tuple, table: dict, payload=None) -> Path:
     """Write ``{--out}/{name joined by _}.{--format}`` and return its path.
 
-    ``rows`` and ``payload`` are zero-argument callables, and only the one for
-    the asked format is called: ``rows()`` gives the CSV table as dicts keyed
-    by ``columns`` (None and NaN become empty cells), ``payload()`` the JSON
-    document. Either is built in full before the file is opened.
+    ``table`` maps each column name, in output order, to a column: a numpy
+    array or a list. CSV writes it with csv.writer, which writes floats by
+    their repr and None as an empty cell; NaN is written as None. JSON writes
+    the table's records (NaN as null), or ``payload()`` for a document that
+    carries metadata; it is a zero-argument callable, called only for JSON.
     """
     path = args.out / f"{'_'.join(name)}.{args.fmt}"
     if args.fmt == "json":
-        document = payload()
+        document = payload() if payload is not None else _records(table)
         with path.open("w", encoding="utf-8") as fh:
             json.dump(document, fh, indent=2)
             fh.write("\n")
         return path
-    table = rows()
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
-        writer.writerow(columns)
-        writer.writerows([_cell(row[column]) for column in columns] for row in table)
+        writer.writerow(table)
+        writer.writerows(zip(*map(_values, table.values())))
     return path
 
 
 def _emit_row(args, row: dict, command: str) -> None:
-    """One-row table in CSV; the same row as a JSON object."""
+    """One-row table in CSV; its record as a JSON object."""
+    table = {column: [value] for column, value in row.items()}
     name = (row["asset"], row["frequency"], row["target"], command)
-    _emit(args, name, tuple(row), lambda: [row], lambda: _json_row(row))
+    _emit(args, name, table, lambda: _records(table)[0])
 
 
 # ---------------------------------------------------------------------------
@@ -199,29 +202,27 @@ def _each_asset(args, handle) -> int:
 def _ingest(args, asset: str, path: Path) -> None:
     series = _prices(args, asset, path)
     frequency = series.frequency.value
-    points = [
-        {"date": day.isoformat(), "close": float(close)}
-        for day, close in zip(series.dates, series.closes)
-    ]
-    _emit(args, (asset, frequency, "prices", "ingest"), ("date", "close"), lambda: points, lambda: {
+    table = {"date": [day.isoformat() for day in series.dates], "close": series.closes}
+    _emit(args, (asset, frequency, "prices", "ingest"), table, lambda: {
         "asset": asset,
         "frequency": frequency,
         "dropped_rows": series.dropped_rows,
-        "points": points,
+        "points": _records(table),
     })
 
 
 def _report(args) -> int:
-    rows: list[dict] = []
+    table = {column: [] for column in REPORT_COLUMNS}
 
     def add(asset: str, frequency: str, target: str, values: np.ndarray) -> None:
         row = {"asset": asset, "frequency": frequency, "target": target}
-        row.update(summarize(values).to_row())
+        row.update(asdict(summarize(values)))
         try:
             row["apen"] = apen(values, args.apen_params)
         except (TooShortError, ZeroToleranceError):
             row["apen"] = None
-        rows.append({column: row[column] for column in REPORT_COLUMNS})
+        for column, cells in table.items():
+            cells.append(row[column])
 
     def handle(args, asset: str, path: Path) -> None:
         if _sniff_header(path) == ["value"]:
@@ -232,17 +233,16 @@ def _report(args) -> int:
         add(asset, args.frequency.value, "returns", log_returns(prices, ReturnKind.SIGNED).values)
 
     status = _each_asset(args, handle)
-    name = ("report", args.frequency.value)
-    _emit(args, name, REPORT_COLUMNS, lambda: rows, lambda: [_json_row(row) for row in rows])
+    _emit(args, ("report", args.frequency.value), table)
     print(",".join(REPORT_COLUMNS))
-    for row in rows:
-        print(",".join(str(_cell(row[column])) for column in REPORT_COLUMNS))
+    for row in zip(*map(_values, table.values())):
+        print(",".join("" if cell is None else str(cell) for cell in row))
     return status
 
 
 def _stats(args, asset: str, path: Path) -> None:
     values, _, head = _load(args, asset, path)
-    _emit_row(args, {**head, **summarize(values).to_row()}, "stats")
+    _emit_row(args, {**head, **asdict(summarize(values))}, "stats")
 
 
 def _apen(args, asset: str, path: Path) -> None:
@@ -263,38 +263,51 @@ def _apen(args, asset: str, path: Path) -> None:
 def _mef(args, asset: str, path: Path) -> None:
     values, _, head = _load(args, asset, path)
     curve = mean_excess(values, args.trim)
-    columns = ("threshold", "mean_excess", "exceedances")
-    _emit(args, (*head.values(), "mef"), columns, curve.to_rows,
-          lambda: {**head, **curve.to_json_dict()})
+    table = {
+        "threshold": curve.thresholds,
+        "mean_excess": curve.mean_excess,
+        "exceedances": curve.exceedances,
+    }
+    _emit(args, (*head.values(), "mef"), table, lambda: {
+        **head,
+        "trimmed": curve.trimmed,
+        "shape": curve.shape.value,
+        "fitted_slope": fitted_slope(curve) if len(curve) >= 2 else None,
+        "points": _records(table),
+    })
 
 
 def _maxsum(args, asset: str, path: Path) -> None:
     values, _, head = _load(args, asset, path)
     traces = [max_to_sum(values, p) for p in args.orders]
-    _emit(args, (*head.values(), "maxsum"), ("p", "n", "ratio"),
-          lambda: [row for trace in traces for row in trace.to_rows()],
-          lambda: {**head, "traces": [trace.to_json_dict() for trace in traces]})
+    table = {
+        "p": np.concatenate([np.full(len(trace), trace.p) for trace in traces]),
+        "n": np.concatenate([np.arange(1, len(trace) + 1) for trace in traces]),
+        "ratio": np.concatenate([trace.ratios for trace in traces]),
+    }
+    _emit(args, (*head.values(), "maxsum"), table, lambda: {**head, "traces": [
+        {"p": trace.p, "verdict": trace.verdict.value, "ratios": trace.ratios.tolist()}
+        for trace in traces
+    ]})
 
 
 def _rolling(args, asset: str, path: Path) -> None:
     values, dates, head = _load(args, asset, path)
+    if dates is not None:
+        dates = [day.isoformat() for day in dates]
     series = rolling(values, args.window, args.statistic, dates=dates, apen_params=args.apen_params)
-    rows = [
-        {"date": day.isoformat() if hasattr(day, "isoformat") else day, "value": float(value)}
-        for day, value in zip(series.dates, series.values)
-    ]
-    _emit(args, (*head.values(), "rolling"), ("date", "value"), lambda: rows, lambda: {
+    table = {"date": series.dates, "value": series.values}
+    _emit(args, (*head.values(), "rolling"), table, lambda: {
         **head,
         "statistic": series.statistic.value,
         "window": series.window,
-        "points": [_json_row(row) for row in rows],
+        "points": _records(table),
     })
 
 
 def _synth(args) -> int:
-    values = generate(args.spec)
     name = (args.label or args.spec.family.value, "na", "values", "synth")
-    print(_emit(args, name, ("value",), lambda: [{"value": float(v)} for v in values], None))
+    print(_emit(args, name, {"value": generate(args.spec)}))
     return EXIT_OK
 
 

@@ -34,7 +34,7 @@ from .errors import (
     TooShortError,
 )
 
-# Shape-classifier defaults: normalized-slope band and convexity vote share.
+# Shape classifier: normalized-slope band and convexity vote share.
 SLOPE_THRESHOLD = 0.10
 CONVEX_VOTE = 0.70
 # Convexity is voted on the data-dense lower part of the curve, averaged
@@ -42,7 +42,7 @@ CONVEX_VOTE = 0.70
 _CONVEXITY_RANK_FRACTION = 0.45
 _CONVEXITY_BLOCKS = 13
 
-# Verdict defaults for maximum-to-sum traces.
+# Verdict thresholds for maximum-to-sum traces.
 FINAL_CONVERGING = 0.02
 DECILE_CONVERGING = 0.05
 FINAL_NOT_CONVERGING = 0.10
@@ -86,27 +86,6 @@ class MefCurve:
     def __len__(self) -> int:
         return int(self.thresholds.size)
 
-    @property
-    def points(self) -> list[tuple[float, float, int]]:
-        return [
-            (float(a), float(me), int(k))
-            for a, me, k in zip(self.thresholds, self.mean_excess, self.exceedances)
-        ]
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {"threshold": float(a), "mean_excess": float(me), "exceedances": int(k)}
-            for a, me, k in zip(self.thresholds, self.mean_excess, self.exceedances)
-        ]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "trimmed": self.trimmed,
-            "shape": self.shape.value,
-            "fitted_slope": fitted_slope(self) if len(self) >= 2 else None,
-            "points": self.to_rows(),
-        }
-
 
 @dataclass(frozen=True, eq=False)
 class MaxSumTrace:
@@ -125,23 +104,6 @@ class MaxSumTrace:
     def __len__(self) -> int:
         return int(self.ratios.size)
 
-    @property
-    def points(self) -> list[tuple[int, float]]:
-        return [(n + 1, float(r)) for n, r in enumerate(self.ratios)]
-
-    def to_rows(self) -> list[dict]:
-        return [
-            {"p": self.p, "n": n + 1, "ratio": float(r)}
-            for n, r in enumerate(self.ratios)
-        ]
-
-    def to_json_dict(self) -> dict:
-        return {
-            "p": self.p,
-            "verdict": self.verdict.value,
-            "ratios": [float(r) for r in self.ratios],
-        }
-
 
 def fitted_slope(curve: MefCurve) -> float:
     """Exceedance-weighted least-squares slope of a mean-excess curve.
@@ -153,7 +115,23 @@ def fitted_slope(curve: MefCurve) -> float:
     if len(curve) < 2:
         raise TooFewPointsError("slope fit needs at least 2 points")
     weights = curve.exceedances.astype(np.float64)
-    return float(np.polyfit(curve.thresholds, curve.mean_excess, 1, w=weights)[0])
+    return _slope(curve.thresholds, curve.mean_excess, weights)
+
+
+def _slope(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> float:
+    """Least-squares slope of y on x, weighted by w.
+
+    np.polyfit squares the columns of its design matrix, which overflows for
+    values beyond about 1e154 and leaves a meaningless fit. Only then are x and
+    y divided by one common power of two, which leaves the slope unchanged, so
+    every fit that does not overflow keeps its bits.
+    """
+    try:
+        with np.errstate(over="raise"):
+            return float(np.polyfit(x, y, 1, w=w)[0])
+    except FloatingPointError:
+        exponent = np.frexp(max(np.abs(x).max(), np.abs(y).max()))[1]
+        return float(np.polyfit(np.ldexp(x, -exponent), np.ldexp(y, -exponent), 1, w=w)[0])
 
 
 def mean_excess_at(values, threshold: float) -> float:
@@ -207,20 +185,14 @@ def mean_excess(values, trim_fraction: float = 0.02) -> MefCurve:
     return MefCurve(thresholds, me, counts, trimmed=k, shape=shape)
 
 
-def classify_shape(
-    thresholds,
-    mean_excess_values,
-    *,
-    slope_threshold: float = SLOPE_THRESHOLD,
-    convex_vote: float = CONVEX_VOTE,
-) -> MefShape:
+def classify_shape(thresholds, mean_excess_values) -> MefShape:
     """Label a mean-excess curve as decreasing, constant, or increasing,
     sub-classifying increases as linear or convex.
 
     The least-squares slope s of me against threshold is normalized to
-    sigma = s * (a_max - a_min) / mean(me); |sigma| < slope_threshold maps
+    sigma = s * (a_max - a_min) / mean(me); |sigma| < SLOPE_THRESHOLD maps
     to constant, the sign decides between decreasing and increasing. An
-    increasing curve is convex when at least ``convex_vote`` of its second
+    increasing curve is convex when at least CONVEX_VOTE of its second
     differences are positive. Second differences are divided differences
     (slope changes), so uneven threshold spacing carries no bias, and they
     are taken on rank-block averages of the lower portion of the curve:
@@ -235,18 +207,18 @@ def classify_shape(
         raise TooFewPointsError(f"shape classification needs >= 5 points, got {a.size}")
     if (np.diff(a) <= 0).any():
         raise InvalidParameterError("thresholds must be strictly increasing")
-    slope = float(np.polyfit(a, me, 1)[0])
+    slope = _slope(a, me)
     scale = float(me.mean())
     span = float(a[-1] - a[0])
     sigma = slope * span / scale if scale != 0.0 else float("nan")
     if not np.isfinite(sigma):
         return MefShape.UNCLASSIFIED
-    if abs(sigma) < slope_threshold:
+    if abs(sigma) < SLOPE_THRESHOLD:
         return MefShape.CONSTANT
-    if sigma <= -slope_threshold:
+    if sigma <= -SLOPE_THRESHOLD:
         return MefShape.DECREASING
     vote = _convexity_vote(a, me)
-    if vote >= convex_vote:
+    if vote >= CONVEX_VOTE:
         return MefShape.INCREASING_CONVEX
     return MefShape.INCREASING_LINEAR
 
@@ -265,21 +237,14 @@ def _convexity_vote(a: np.ndarray, me: np.ndarray) -> float:
     return float((right - left > tol).mean())
 
 
-def max_to_sum(
-    values,
-    p: int,
-    *,
-    final_converging: float = FINAL_CONVERGING,
-    decile_converging: float = DECILE_CONVERGING,
-    final_not_converging: float = FINAL_NOT_CONVERGING,
-) -> MaxSumTrace:
+def max_to_sum(values, p: int) -> MaxSumTrace:
     """Running ratio of the maximum of x^p to the sum of x^p over prefixes
     of the series in its given (chronological) order.
 
     All-zero prefixes get ratio 1.0 (the maximum is the entire sum). The
-    verdict is converging when the final ratio is below ``final_converging``
-    and the last-decile mean is below ``decile_converging``; not_converging
-    when the final ratio exceeds ``final_not_converging``; else inconclusive.
+    verdict is converging when the final ratio is below FINAL_CONVERGING and
+    the last-decile mean is below DECILE_CONVERGING; not_converging when the
+    final ratio exceeds FINAL_NOT_CONVERGING; else inconclusive.
     """
     if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 1 <= p <= 4:
         raise InvalidParameterError("order p must be an integer in 1..4")
@@ -308,9 +273,9 @@ def max_to_sum(
     )
     final = float(ratios[-1])
     decile = float(ratios[-max(1, arr.size // 10) :].mean())
-    if final < final_converging and decile < decile_converging:
+    if final < FINAL_CONVERGING and decile < DECILE_CONVERGING:
         verdict = Verdict.CONVERGING
-    elif final > final_not_converging:
+    elif final > FINAL_NOT_CONVERGING:
         verdict = Verdict.NOT_CONVERGING
     else:
         verdict = Verdict.INCONCLUSIVE

@@ -4,9 +4,9 @@ Input schema is the Yahoo Finance daily export
 (``Date,Open,High,Low,Close,Adj Close,Volume``); only Date and Close are
 consumed, and header names are matched case-insensitively. Rows whose Close
 is empty or the literal ``null`` (non-trading days in some exports) are
-dropped and counted in ``PriceSeries.dropped_rows``. Output schema is
-``date,close`` for prices and ``date,value`` for returns; price files
-round-trip exactly through ``ingest_csv``.
+dropped and counted in ``PriceSeries.dropped_rows``. The ``date,close``
+CSV that ``tailscope ingest`` writes reads back through ``ingest_csv`` as
+the same series.
 
 Weekend filling is opt-in because assets that trade seven days a week must
 not be forward-filled.
@@ -94,10 +94,6 @@ class PriceSeries:
             and np.array_equal(self.closes, other.closes)
         )
 
-    @property
-    def points(self) -> list[tuple[dt.date, float]]:
-        return [(day, float(close)) for day, close in zip(self.dates, self.closes)]
-
 
 @dataclass(frozen=True, eq=False)
 class ReturnSeries:
@@ -138,15 +134,10 @@ class ReturnSeries:
             and np.array_equal(self.values, other.values)
         )
 
-    @property
-    def points(self) -> list[tuple[dt.date, float]]:
-        return [(day, float(value)) for day, value in zip(self.dates, self.values)]
 
-
-def ingest_csv(
-    path: str | Path, asset_id: str, frequency: Frequency = Frequency.DAILY
-) -> PriceSeries:
-    """Parse a Yahoo-style CSV into a date-sorted :class:`PriceSeries`.
+def ingest_csv(path: str | Path, asset_id: str) -> PriceSeries:
+    """Parse a Yahoo-style daily CSV into a date-sorted :class:`PriceSeries`
+    tagged ``Frequency.DAILY``.
 
     Parameters
     ----------
@@ -154,8 +145,6 @@ def ingest_csv(
         CSV with at least Date and Close columns; dates must be ISO-8601.
     asset_id : str
         Label attached to the resulting series.
-    frequency : Frequency
-        Sampling frequency tag for the file, daily by default.
 
     Raises
     ------
@@ -203,28 +192,11 @@ def ingest_csv(
     rows.sort(key=lambda item: item[0])
     return PriceSeries(
         asset_id,
-        frequency,
+        Frequency.DAILY,
         tuple(day for day, _ in rows),
         [close for _, close in rows],
         dropped_rows=dropped,
     )
-
-
-def write_csv(series: PriceSeries | ReturnSeries, path: str | Path) -> None:
-    """Write ``date,close`` (prices) or ``date,value`` (returns).
-
-    Floats are written with full precision so the file round-trips exactly.
-    """
-    path = Path(path)
-    if isinstance(series, PriceSeries):
-        header, data = ("date", "close"), series.closes
-    else:
-        header, data = ("date", "value"), series.values
-    with path.open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        for day, value in zip(series.dates, data):
-            writer.writerow((day.isoformat(), repr(float(value))))
 
 
 def fill_weekend(series: PriceSeries) -> PriceSeries:

@@ -39,15 +39,6 @@ class StatsSummary:
     coeff_variation: float | None  # None when |mean| < 1e-12
     excess_kurtosis: float | None  # None when n < 4 or the sample is constant
 
-    def to_row(self) -> dict:
-        return {
-            "n": self.n,
-            "mean": self.mean,
-            "std_dev": self.std_dev,
-            "coeff_variation": self.coeff_variation,
-            "excess_kurtosis": self.excess_kurtosis,
-        }
-
 
 def _std(arr: np.ndarray) -> float:
     return float(arr.std(ddof=1))
@@ -120,10 +111,6 @@ class RollingSeries:
 
     def __len__(self) -> int:
         return len(self.dates)
-
-    @property
-    def points(self) -> list[tuple]:
-        return [(day, float(value)) for day, value in zip(self.dates, self.values)]
 
 
 def rolling(

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tailscope.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
+from tailscope.series import fill_weekend, ingest_csv
 from tailscope.stats import summarize
 
 D = dt.date
@@ -101,6 +102,13 @@ class TestSubcommands:
         payload = json.loads((tmp_path / "gold_daily_prices_ingest.json").read_text())
         assert payload["dropped_rows"] == 0
         assert [p["close"] for p in payload["points"]] == [100.0, 100.0, 100.0, 102.0]
+        # The CSV form reads back through ingest_csv as the same series.
+        rows = [(D(2021, 1, 1), 100.125), (D(2021, 1, 4), 1 / 3), (D(2021, 1, 5), 99.3333)]
+        path = write_prices(tmp_path, "silver.csv", rows)
+        code = main(["ingest", f"silver={path}", "--fill-weekend", "silver", "--out", str(tmp_path)])
+        assert code == EXIT_OK
+        again = ingest_csv(tmp_path / "silver_daily_prices_ingest.csv", "silver")
+        assert again == fill_weekend(ingest_csv(path, "silver"))
 
     def test_stats_file(self, tmp_path, price_file):
         assert main(["stats", f"btc={price_file}", "--out", str(tmp_path)]) == EXIT_OK
@@ -303,3 +311,9 @@ class TestStartup:
         )
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
+
+    def test_public_names_resolve(self):
+        import tailscope
+
+        missing = [name for name in tailscope.__all__ if not hasattr(tailscope, name)]
+        assert missing == []

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -75,7 +76,7 @@ class TestMeanExcess:
             n = int(rng.integers(10, 40))
             values = np.round(rng.random(n) * 8, 3)
             curve = mean_excess(values)
-            for a, me, count in curve.points:
+            for a, me, count in zip(curve.thresholds, curve.mean_excess, curve.exceedances):
                 over = [v for v in values if v > a]
                 assert count == len(over)
                 assert me == pytest.approx(sum(over) / len(over) - a, rel=1e-12, abs=1e-12)
@@ -163,6 +164,17 @@ class TestClassifyShape:
         for me in curves:
             base = classify_shape(a, me)
             assert classify_shape(4.0 * a + 17.25, me) is base
+            # squares of thresholds near 1e303 overflow inside np.polyfit
+            assert classify_shape(1e300 * a, me) is base
+
+    def test_fit_near_float_max(self):
+        values = np.random.default_rng(41).uniform(1.0, 2.0, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # np.polyfit's RankWarning included
+            small, huge = mean_excess(values), mean_excess(values * 1e305)
+            slopes = fitted_slope(small), fitted_slope(huge)
+        assert huge.shape is small.shape is MefShape.DECREASING
+        assert slopes[1] == pytest.approx(slopes[0], rel=1e-12)
 
 
 class TestMaxToSum:
@@ -234,26 +246,3 @@ class TestMaxToSum:
         values[0] = 5.0  # final 5/104 ~ 0.048
         assert max_to_sum(values, 1).verdict is Verdict.INCONCLUSIVE
 
-
-class TestSerialization:
-    def test_mef_rows_and_json(self):
-        values = np.arange(1.0, 21.0)
-        curve = mean_excess(values)
-        rows = curve.to_rows()
-        assert list(rows[0]) == ["threshold", "mean_excess", "exceedances"]
-        payload = curve.to_json_dict()
-        assert payload["trimmed"] == 3
-        assert payload["shape"] in {s.value for s in MefShape}
-        assert len(payload["points"]) == len(curve)
-        assert payload["fitted_slope"] == pytest.approx(fitted_slope(curve), rel=1e-15)
-
-    def test_maxsum_rows_and_json(self):
-        trace = max_to_sum([1.0, 2.0, 3.0], 2)
-        assert trace.to_rows() == [
-            {"p": 2, "n": 1, "ratio": 1.0},
-            {"p": 2, "n": 2, "ratio": trace.ratios[1]},
-            {"p": 2, "n": 3, "ratio": trace.ratios[2]},
-        ]
-        payload = trace.to_json_dict()
-        assert payload["p"] == 2
-        assert len(payload["ratios"]) == 3

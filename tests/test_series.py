@@ -21,7 +21,6 @@ from tailscope.series import (
     ingest_csv,
     log_returns,
     resample,
-    write_csv,
 )
 
 from conftest import daily_dates
@@ -103,17 +102,6 @@ class TestIngest:
         path = tmp_path / "a.csv"
         path.write_text("date,close\n2020-01-01,100\n2020-01-02,101\n")
         assert len(ingest_csv(path, "a")) == 2
-
-    def test_round_trip_identity(self, tmp_path, write_yahoo_csv):
-        src = write_yahoo_csv(
-            "a.csv",
-            [(D(2020, 1, 1), 100.125), (D(2020, 1, 3), 101.7), (D(2020, 1, 10), 99.3333)],
-        )
-        series = ingest_csv(src, "btc")
-        out = tmp_path / "normalized.csv"
-        write_csv(series, out)
-        again = ingest_csv(out, "btc")
-        assert again == series
 
 
 class TestPriceSeries:
@@ -240,14 +228,3 @@ class TestResample:
             lo, hi = positions[weekly.dates[k - 1]], positions[weekly.dates[k]]
             brute = sum(float(v) for v in daily_ret.values[lo:hi])
             assert weekly_ret.values[k - 1] == pytest.approx(brute, rel=1e-9, abs=1e-12)
-
-
-class TestWriteCsv:
-    def test_returns_schema(self, tmp_path):
-        returns = log_returns(make_series([100.0, 105.0, 103.0]))
-        out = tmp_path / "r.csv"
-        write_csv(returns, out)
-        lines = out.read_text().strip().splitlines()
-        assert lines[0] == "date,value"
-        assert len(lines) == 3
-        assert float(lines[1].split(",")[1]) == returns.values[0]
