@@ -74,7 +74,10 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _read_bare_values(path: Path) -> np.ndarray:
+def _read_bare_values(args, asset: str, path: Path) -> np.ndarray:
+    """A bare one-column sample's values; it is undated, so it cannot be filled."""
+    if asset in args.fill:
+        raise InvalidParameterError("bare value samples are undated; cannot fill")
     values: list[float] = []
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -120,10 +123,8 @@ def _load(args, asset: str, path: Path):
     if header == ["value"]:
         if args.target != "prices":
             raise InvalidParameterError("bare value samples have no prices to derive returns from")
-        if asset in args.fill:
-            raise InvalidParameterError("bare value samples are undated; cannot fill")
         head = {"asset": asset, "frequency": "na", "target": "values"}
-        return _read_bare_values(path), None, head
+        return _read_bare_values(args, asset, path), None, head
     if "date" not in header or "close" not in header:
         raise MissingColumnError(
             f"{path.name}: expected Date and Close columns, or a single value column"
@@ -226,7 +227,7 @@ def _report(args) -> int:
 
     def handle(args, asset: str, path: Path) -> None:
         if _sniff_header(path) == ["value"]:
-            add(asset, "na", "values", _read_bare_values(path))
+            add(asset, "na", "values", _read_bare_values(args, asset, path))
             return
         prices = _prices(args, asset, path)
         add(asset, args.frequency.value, "prices", prices.closes)
