@@ -24,7 +24,7 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, TooShortError, ZeroToleranceError
+from .errors import InvalidParameterError, ZeroToleranceError, _as_finite_array, _as_int
 
 # Distance blocks hold _BLOCK_ROWS sorted templates at a time and never more
 # than _CHUNK_CELLS float64 cells (~32 MB), whatever N is. A block of sorted
@@ -57,38 +57,36 @@ class ApenParams:
 
     def __post_init__(self):
         object.__setattr__(self, "r_mode", RMode(self.r_mode))
-        if (
-            isinstance(self.m, bool)
-            or not isinstance(self.m, (int, np.integer))
-            or self.m < 1
-        ):
-            raise InvalidParameterError("m must be an integer >= 1")
-        object.__setattr__(self, "m", int(self.m))
+        object.__setattr__(self, "m", _as_int(self.m, "m must be an integer >= 1", low=1))
         r = float(self.r_value)
         if not np.isfinite(r) or r <= 0.0:
             raise InvalidParameterError("r_value must be a positive real")
         object.__setattr__(self, "r_value", r)
 
+    @property
+    def min_length(self) -> int:
+        """Fewest observations ApEn is defined on: m + 2."""
+        return self.m + 2
+
     def resolve_r(self, values) -> float:
         """Tolerance in data units for the given window."""
-        if self.r_mode is RMode.ABSOLUTE:
-            return self.r_value
-        with np.errstate(over="ignore", invalid="ignore"):
-            sd = np.asarray(values, dtype=np.float64).std(ddof=1)
-        return float(self.relative_r(sd))
+        arr = np.asarray(values, dtype=np.float64)
+        return float(self.tolerances(1, lambda: arr.std(ddof=1, keepdims=True))[0])
 
-    def relative_r(self, sd) -> np.ndarray:
-        """``r_value * sd`` for windows of sample SD ``sd``, in window order.
-
-        The first window whose tolerance is zero raises ZeroToleranceError,
-        and the first whose tolerance is not finite (its SD overflows
+    def tolerances(self, count: int, window_sd) -> np.ndarray:
+        """Tolerance in data units of each of ``count`` windows, in window order:
+        r_value, or in relative mode r_value times the window SDs ``window_sd()``
+        returns. The first relative tolerance that is zero raises
+        ZeroToleranceError, and the first that is not finite (its SD overflows
         float64) raises InvalidParameterError.
         """
+        if self.r_mode is RMode.ABSOLUTE:
+            return np.full(count, self.r_value)
         with np.errstate(over="ignore", invalid="ignore"):
-            r = self.r_value * np.asarray(sd, dtype=np.float64)
+            r = self.r_value * window_sd()
         bad = np.flatnonzero(~((r > 0.0) & (r < np.inf)))
         if bad.size:
-            if np.isfinite(r.flat[bad[0]]):
+            if np.isfinite(r[bad[0]]):
                 raise ZeroToleranceError("relative tolerance resolves to zero on a constant window")
             raise InvalidParameterError(
                 "relative tolerance is not finite: the window's standard deviation "
@@ -179,12 +177,7 @@ def apen(values, params: ApenParams | None = None) -> float:
         count.
     """
     p = params if params is not None else ApenParams()
-    arr = np.ascontiguousarray(values, dtype=np.float64)
-    n = arr.size
-    if n < p.m + 2:
-        raise TooShortError(f"need at least m + 2 = {p.m + 2} observations, got {n}")
-    if not np.isfinite(arr).all():
-        raise InvalidParameterError("values must be finite")
+    arr = _as_finite_array(values, min_n=p.min_length)
     phi_m, phi_m1 = _phi_pair(arr, p.m, p.resolve_r(arr))
     return phi_m - phi_m1
 
@@ -266,5 +259,4 @@ def rolling_apen(values, window: int, params: ApenParams | None = None, *, dates
     """
     from .stats import rolling  # deferred import; stats dispatches back here
 
-    p = params if params is not None else ApenParams()
-    return rolling(values, window, "apen", dates=dates, apen_params=p)
+    return rolling(values, window, "apen", dates=dates, apen_params=params)

@@ -14,7 +14,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import math
 import os
 import sys
 from dataclasses import asdict
@@ -29,8 +28,8 @@ from .errors import (
     MissingColumnError,
     TailscopeError,
     TooShortError,
-    UnparsableRowError,
     ZeroToleranceError,
+    _finite_cell,
 )
 from .evt import fitted_slope, max_to_sum, mean_excess
 from .series import Frequency, ReturnKind, fill_weekend, ingest_csv, log_returns, resample
@@ -85,15 +84,7 @@ def _read_bare_values(args, asset: str, path: Path) -> np.ndarray:
         for number, row in enumerate(reader, start=2):
             if not row or not row[0].strip():
                 continue
-            try:
-                value = float(row[0])
-            except ValueError:
-                raise UnparsableRowError(
-                    f"{path.name} row {number}: unparsable value {row[0]!r}"
-                ) from None
-            if not math.isfinite(value):
-                raise UnparsableRowError(f"{path.name} row {number}: non-finite value {row[0]!r}")
-            values.append(value)
+            values.append(_finite_cell(row[0], path, number, "value"))
     return np.asarray(values, dtype=np.float64)
 
 
@@ -380,7 +371,7 @@ def _resolve(args: argparse.Namespace) -> None:
         args.statistic = RollingStatistic(args.statistic)
         if args.window is None:
             args.window = DEFAULT_WINDOWS[args.frequency]
-        minimum = args.apen_params.m + 2 if args.statistic is RollingStatistic.APEN else 2
+        minimum = args.apen_params.min_length if args.statistic is RollingStatistic.APEN else 2
         if args.window < minimum:
             raise ConfigError(f"--window must be >= {minimum} for {args.statistic.value}")
     if "trim" in args and not 0.0 <= args.trim < 0.5:

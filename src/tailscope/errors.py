@@ -1,4 +1,8 @@
-"""Exception types raised across the library."""
+"""Exception types raised across the library, and the input checks that raise them."""
+
+import math
+
+import numpy as np
 
 
 class TailscopeError(Exception):
@@ -55,3 +59,47 @@ class AllZeroError(TailscopeError):
 
 class InvalidParameterError(TailscopeError):
     """A parameter value is outside its valid domain."""
+
+
+def _as_finite_array(values, *, min_n: int = 0, non_negative: bool = False, name: str = "values"):
+    """``values`` as a float64 array, checked in this order: at least
+    ``min_n`` values (TooShortError), all finite (InvalidParameterError),
+    and, when ``non_negative``, none below zero (NegativeValueError)."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.size < min_n:
+        raise TooShortError(f"need at least {min_n} values, got {arr.size}")
+    if not np.isfinite(arr).all():
+        raise InvalidParameterError(f"{name} must be finite")
+    if non_negative and (arr < 0.0).any():
+        raise NegativeValueError(f"{name} must be non-negative")
+    return arr
+
+
+def _finite_cell(raw: str, path, number: int, what: str) -> float:
+    """The ``what`` cell of row ``number`` of the CSV file at ``path`` as a
+    finite float; anything else raises UnparsableRowError naming the row."""
+    try:
+        value = float(raw)
+    except ValueError:
+        raise UnparsableRowError(f"{path.name} row {number}: unparsable {what} {raw!r}") from None
+    if not math.isfinite(value):
+        raise UnparsableRowError(f"{path.name} row {number}: non-finite {what} {raw!r}")
+    return value
+
+
+def _as_int(value, message: str, *, low=-math.inf, high=math.inf) -> int:
+    """``value`` as an int; a bool, a non-integer or a value outside
+    [low, high] raises InvalidParameterError(message)."""
+    integer = isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+    if not (integer and low <= value <= high):
+        raise InvalidParameterError(message)
+    return int(value)
+
+
+def _freeze(obj, **dtypes) -> None:
+    """Replace each named field of the frozen dataclass ``obj`` with a
+    read-only copy of the given dtype."""
+    for field, dtype in dtypes.items():
+        arr = np.array(getattr(obj, field), dtype=dtype)
+        arr.setflags(write=False)
+        object.__setattr__(obj, field, arr)

@@ -29,9 +29,10 @@ import numpy as np
 from .errors import (
     AllZeroError,
     InvalidParameterError,
-    NegativeValueError,
     TooFewPointsError,
-    TooShortError,
+    _as_finite_array,
+    _as_int,
+    _freeze,
 )
 
 # Shape classifier: normalized-slope band and convexity vote share.
@@ -74,14 +75,7 @@ class MefCurve:
 
     def __post_init__(self):
         object.__setattr__(self, "shape", MefShape(self.shape))
-        thresholds = np.array(self.thresholds, dtype=np.float64)
-        mean_excess = np.array(self.mean_excess, dtype=np.float64)
-        exceedances = np.array(self.exceedances, dtype=np.int64)
-        for arr in (thresholds, mean_excess, exceedances):
-            arr.setflags(write=False)
-        object.__setattr__(self, "thresholds", thresholds)
-        object.__setattr__(self, "mean_excess", mean_excess)
-        object.__setattr__(self, "exceedances", exceedances)
+        _freeze(self, thresholds=np.float64, mean_excess=np.float64, exceedances=np.int64)
 
     def __len__(self) -> int:
         return int(self.thresholds.size)
@@ -97,9 +91,7 @@ class MaxSumTrace:
 
     def __post_init__(self):
         object.__setattr__(self, "verdict", Verdict(self.verdict))
-        ratios = np.array(self.ratios, dtype=np.float64)
-        ratios.setflags(write=False)
-        object.__setattr__(self, "ratios", ratios)
+        _freeze(self, ratios=np.float64)
 
     def __len__(self) -> int:
         return int(self.ratios.size)
@@ -121,26 +113,31 @@ def fitted_slope(curve: MefCurve) -> float:
 def _slope(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> float:
     """Least-squares slope of y on x, weighted by w.
 
-    np.polyfit squares the columns of its design matrix, which overflows for
-    values beyond about 1e154 and leaves a meaningless fit. Only then are x and
-    y divided by one common power of two, which leaves the slope unchanged, so
-    every fit that does not overflow keeps its bits.
+    np.polyfit scales the columns of its design matrix by their norms, which
+    overflow for values beyond about 1e154 and underflow to zero below about
+    1e-154, leaving a meaningless fit or a LAPACK error. Only then are x and y
+    divided by their own powers of two and the slope multiplied back by the
+    exact ratio, so every fit that succeeds directly keeps its bits.
     """
     try:
-        with np.errstate(over="raise"):
+        with np.errstate(over="raise", divide="raise", invalid="raise"):
             return float(np.polyfit(x, y, 1, w=w)[0])
     except FloatingPointError:
-        exponent = np.frexp(max(np.abs(x).max(), np.abs(y).max()))[1]
-        return float(np.polyfit(np.ldexp(x, -exponent), np.ldexp(y, -exponent), 1, w=w)[0])
+        ex = np.frexp(np.abs(x).max())[1]
+        ey = np.frexp(np.abs(y).max())[1]
+        slope = np.polyfit(np.ldexp(x, -ex), np.ldexp(y, -ey), 1, w=w)[0]
+        return float(np.ldexp(slope, ey - ex))
 
 
 def mean_excess_at(values, threshold: float) -> float:
-    """Average overshoot above ``threshold``: sum(x - a for x > a) / count."""
-    arr = np.asarray(values, dtype=np.float64)
-    over = arr[arr > threshold]
+    """Average overshoot above a finite ``threshold`` in finite ``values``:
+    sum(x - a for x > a) / count."""
+    arr = _as_finite_array(values)
+    a = _as_finite_array(threshold, name="threshold")
+    over = arr[arr > a]
     if over.size == 0:
         raise InvalidParameterError(f"no observations above threshold {threshold!r}")
-    return float((over - threshold).sum() / over.size)
+    return float((over - a).sum() / over.size)
 
 
 def mean_excess(values, trim_fraction: float = 0.02) -> MefCurve:
@@ -152,16 +149,10 @@ def mean_excess(values, trim_fraction: float = 0.02) -> MefCurve:
     least one exceedance. Callers pass closing prices or absolute returns;
     signed values are rejected.
     """
-    arr = np.asarray(values, dtype=np.float64)
-    n = arr.size
     if not 0.0 <= trim_fraction < 0.5:
         raise InvalidParameterError("trim_fraction must lie in [0, 0.5)")
-    if n < 10:
-        raise TooShortError(f"mean-excess curve needs at least 10 values, got {n}")
-    if not np.isfinite(arr).all():
-        raise InvalidParameterError("values must be finite")
-    if (arr < 0.0).any():
-        raise NegativeValueError("values must be non-negative")
+    arr = _as_finite_array(values, min_n=10, non_negative=True)
+    n = arr.size
     k = max(3, math.ceil(trim_fraction * n))
     sorted_vals = np.sort(arr)
     candidates = sorted_vals[: n - k - 1]
@@ -205,6 +196,8 @@ def classify_shape(thresholds, mean_excess_values) -> MefShape:
         raise InvalidParameterError("thresholds and mean-excess lengths differ")
     if a.size < 5:
         raise TooFewPointsError(f"shape classification needs >= 5 points, got {a.size}")
+    _as_finite_array(a, name="thresholds")
+    _as_finite_array(me, name="mean-excess values")
     if (np.diff(a) <= 0).any():
         raise InvalidParameterError("thresholds must be strictly increasing")
     slope = _slope(a, me)
@@ -246,19 +239,12 @@ def max_to_sum(values, p: int) -> MaxSumTrace:
     the last-decile mean is below DECILE_CONVERGING; not_converging when the
     final ratio exceeds FINAL_NOT_CONVERGING; else inconclusive.
     """
-    if isinstance(p, bool) or not isinstance(p, (int, np.integer)) or not 1 <= p <= 4:
-        raise InvalidParameterError("order p must be an integer in 1..4")
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
-        raise TooShortError("max-to-sum trace needs at least two values")
-    if not np.isfinite(arr).all():
-        raise InvalidParameterError("values must be finite")
-    if (arr < 0.0).any():
-        raise NegativeValueError("values must be non-negative")
+    p = _as_int(p, "order p must be an integer in 1..4", low=1, high=4)
+    arr = _as_finite_array(values, min_n=2, non_negative=True)
     if not (arr > 0.0).any():
         raise AllZeroError("all values are zero")
     with np.errstate(over="ignore"):
-        powered = arr ** int(p)
+        powered = arr**p
         running_sum = np.cumsum(powered)
     if not np.isfinite(running_sum[-1]):
         raise InvalidParameterError(
@@ -279,4 +265,4 @@ def max_to_sum(values, p: int) -> MaxSumTrace:
         verdict = Verdict.NOT_CONVERGING
     else:
         verdict = Verdict.INCONCLUSIVE
-    return MaxSumTrace(p=int(p), ratios=ratios, verdict=verdict)
+    return MaxSumTrace(p=p, ratios=ratios, verdict=verdict)

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
-import math
 from dataclasses import dataclass
 from enum import Enum
 from pathlib import Path
@@ -31,6 +30,9 @@ from .errors import (
     NonPositivePriceError,
     TooShortError,
     UnparsableRowError,
+    _as_finite_array,
+    _finite_cell,
+    _freeze,
 )
 
 
@@ -66,20 +68,17 @@ class PriceSeries:
     def __post_init__(self):
         object.__setattr__(self, "frequency", Frequency(self.frequency))
         object.__setattr__(self, "dates", tuple(self.dates))
-        closes = np.array(self.closes, dtype=np.float64)
-        if len(self.dates) != closes.size:
+        _freeze(self, closes=np.float64)
+        if len(self.dates) != self.closes.size:
             raise InvalidParameterError("dates and closes must have equal length")
         _check_dates(self.dates)
-        if closes.size and not np.isfinite(closes).all():
-            raise InvalidParameterError("closes must be finite")
-        bad = np.flatnonzero(closes <= 0.0)
+        _as_finite_array(self.closes, name="closes")
+        bad = np.flatnonzero(self.closes <= 0.0)
         if bad.size:
             day = self.dates[int(bad[0])]
             raise NonPositivePriceError(
-                f"{day.isoformat()}: close {closes[bad[0]]!r} is not positive"
+                f"{day.isoformat()}: close {self.closes[bad[0]]!r} is not positive"
             )
-        closes.setflags(write=False)
-        object.__setattr__(self, "closes", closes)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -109,16 +108,13 @@ class ReturnSeries:
         object.__setattr__(self, "frequency", Frequency(self.frequency))
         object.__setattr__(self, "kind", ReturnKind(self.kind))
         object.__setattr__(self, "dates", tuple(self.dates))
-        values = np.array(self.values, dtype=np.float64)
-        if len(self.dates) != values.size:
+        _freeze(self, values=np.float64)
+        if len(self.dates) != self.values.size:
             raise InvalidParameterError("dates and values must have equal length")
         _check_dates(self.dates)
-        if values.size and not np.isfinite(values).all():
-            raise InvalidParameterError("values must be finite")
-        if self.kind is ReturnKind.ABSOLUTE and (values < 0.0).any():
+        _as_finite_array(self.values)
+        if self.kind is ReturnKind.ABSOLUTE and (self.values < 0.0).any():
             raise InvalidParameterError("absolute returns cannot be negative")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -174,16 +170,7 @@ def ingest_csv(path: str | Path, asset_id: str) -> PriceSeries:
                 raise UnparsableRowError(
                     f"{path.name} row {number}: unparsable date {raw_date!r}"
                 ) from None
-            try:
-                close = float(raw_close)
-            except ValueError:
-                raise UnparsableRowError(
-                    f"{path.name} row {number}: unparsable close {raw_close!r}"
-                ) from None
-            if not math.isfinite(close):
-                raise UnparsableRowError(
-                    f"{path.name} row {number}: non-finite close {raw_close!r}"
-                )
+            close = _finite_cell(raw_close, path, number, "close")
             if close <= 0.0:
                 raise NonPositivePriceError(
                     f"{day.isoformat()}: close {close!r} is not positive"
@@ -269,9 +256,7 @@ def resample(series: PriceSeries, target: Frequency) -> PriceSeries:
 
 def log_returns(series: PriceSeries, kind: ReturnKind = ReturnKind.SIGNED) -> ReturnSeries:
     """ln(close[t+1] / close[t]) for each consecutive pair, dated at t+1."""
-    if len(series) < 2:
-        raise TooShortError("log-returns need at least two observations")
-    values = np.diff(np.log(series.closes))
+    values = np.diff(np.log(_as_finite_array(series.closes, min_n=2)))
     kind = ReturnKind(kind)
     if kind is ReturnKind.ABSOLUTE:
         values = np.abs(values)

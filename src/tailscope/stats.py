@@ -8,12 +8,14 @@ from enum import Enum
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .apen import ApenParams, RMode, _rolling_apen
+from .apen import ApenParams, _rolling_apen
 from .errors import (
     InvalidParameterError,
-    TooShortError,
     WindowTooLargeError,
     WindowTooSmallError,
+    _as_finite_array,
+    _as_int,
+    _freeze,
 )
 
 # Below this magnitude the mean is treated as zero and CV flagged undefined.
@@ -21,6 +23,9 @@ _CV_MEAN_FLOOR = 1e-12
 # Rolling SD reduces blocks of windows of at most this many cells, so its
 # temporaries stay near 512 KB whatever the series length.
 _ROLLING_BLOCK_CELLS = 65_536
+# Below this max|dev| the fourth powers of the deviations leave the normal
+# float64 range (2**-1022), so kurtosis is taken on rescaled deviations.
+_QUARTIC_FLOOR = 2.0**-255
 
 
 class RollingStatistic(str, Enum):
@@ -57,13 +62,14 @@ def _excess_kurtosis(arr: np.ndarray) -> float:
     if n < 4:
         return float("nan")
     dev = arr - arr.mean()
+    peak = np.abs(dev).max()
     with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        quartic = _quartic_ratio(dev)
+        quartic = _quartic_ratio(dev) if peak >= _QUARTIC_FLOOR else np.nan
         if not np.isfinite(quartic):
-            # Kurtosis is scale-invariant, so moments that overflow (or whose
-            # square vanishes) are taken again on dev / max|dev|; a constant
-            # sample stays NaN.
-            quartic = _quartic_ratio(dev / np.abs(dev).max())
+            # Kurtosis is scale-invariant, so moments that overflow, go
+            # subnormal or whose square vanishes are taken again on
+            # dev / max|dev|; a constant sample stays NaN.
+            quartic = _quartic_ratio(dev / peak)
     adjust = 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
     return n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * quartic - adjust
 
@@ -75,11 +81,7 @@ def _quartic_ratio(dev: np.ndarray) -> float:
 
 def summarize(values) -> StatsSummary:
     """Mean, sample SD, coefficient of variation, and excess kurtosis."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.size < 2:
-        raise TooShortError("summary statistics need at least two values")
-    if not np.isfinite(arr).all():
-        raise InvalidParameterError("values must be finite")
+    arr = _as_finite_array(values, min_n=2)
     cv = _coeff_variation(arr)
     kurt = _excess_kurtosis(arr)
     return StatsSummary(
@@ -103,11 +105,9 @@ class RollingSeries:
     def __post_init__(self):
         object.__setattr__(self, "statistic", RollingStatistic(self.statistic))
         object.__setattr__(self, "dates", tuple(self.dates))
-        values = np.array(self.values, dtype=np.float64)
-        if len(self.dates) != values.size:
+        _freeze(self, values=np.float64)
+        if len(self.dates) != self.values.size:
             raise InvalidParameterError("dates and values must have equal length")
-        values.setflags(write=False)
-        object.__setattr__(self, "values", values)
 
     def __len__(self) -> int:
         return len(self.dates)
@@ -133,23 +133,16 @@ def rolling(
     arr = np.asarray(values, dtype=np.float64)
     stat = RollingStatistic(statistic)
     n = arr.size
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)):
-        raise InvalidParameterError("window must be an integer")
-    window = int(window)
-    if stat is RollingStatistic.APEN:
-        params = apen_params if apen_params is not None else ApenParams()
-        minimum = params.m + 2
-    else:
-        params = None
-        minimum = 2
+    window = _as_int(window, "window must be an integer")
+    params = apen_params if apen_params is not None else ApenParams()
+    minimum = params.min_length if stat is RollingStatistic.APEN else 2
     if window < minimum:
         raise WindowTooSmallError(
             f"window {window} is below the minimum {minimum} for {stat.value}"
         )
     if window > n:
         raise WindowTooLargeError(f"window {window} exceeds series length {n}")
-    if not np.isfinite(arr).all():
-        raise InvalidParameterError("values must be finite")
+    _as_finite_array(arr)
     if dates is not None:
         labels = tuple(dates)
         if len(labels) != n:
@@ -158,12 +151,7 @@ def rolling(
     else:
         labels = tuple(range(window - 1, n))
     if stat is RollingStatistic.APEN:
-        if params.r_mode is RMode.ABSOLUTE:
-            r = np.full(n - window + 1, params.r_value)
-        else:
-            with np.errstate(over="ignore", invalid="ignore"):
-                sd = _rolling_sd(arr, window)
-            r = params.relative_r(sd)
+        r = params.tolerances(n - window + 1, lambda: _rolling_sd(arr, window))
         out = _rolling_apen(arr, window, params.m, r)
     else:
         out = _rolling_sd(arr, window)

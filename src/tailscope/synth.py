@@ -24,13 +24,12 @@ exponential(lam=1) bit for bit under the same seed.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError
+from .errors import InvalidParameterError, _as_finite_array, _as_int
 
 
 class Family(str, Enum):
@@ -63,20 +62,11 @@ class GeneratorSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "family", Family(self.family))
-        if isinstance(self.n, bool) or not isinstance(self.n, (int, np.integer)) or self.n < 1:
-            raise InvalidParameterError("n must be an integer >= 1")
-        object.__setattr__(self, "n", int(self.n))
-        if (
-            isinstance(self.seed, bool)
-            or not isinstance(self.seed, (int, np.integer))
-            or self.seed < 0
-        ):
-            raise InvalidParameterError("seed must be a non-negative integer")
-        object.__setattr__(self, "seed", int(self.seed))
+        object.__setattr__(self, "n", _as_int(self.n, "n must be an integer >= 1", low=1))
+        seed = _as_int(self.seed, "seed must be a non-negative integer", low=0)
+        object.__setattr__(self, "seed", seed)
         for name in ("mu", "sigma", "lam", "xi", "beta", "alpha", "x_min"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value):
-                raise InvalidParameterError(f"{name} must be finite")
+            value = float(_as_finite_array(getattr(self, name), name=name))
             object.__setattr__(self, name, value)
         positive = {
             Family.GAUSSIAN: ("sigma",),

@@ -294,6 +294,21 @@ class TestOverflow:
         assert "p=4" in err
         assert not any("NaN" in f.read_text(encoding="utf-8") for f in out.iterdir())
 
+    def test_mef_near_float_min_does_not_stop_later_assets(self, tmp_path):
+        values = np.random.default_rng(0).uniform(1.0, 2.0, 50)
+        paths = {}
+        for name, scale in (("tiny", 1e-300), ("ok", 1.0)):
+            paths[name] = tmp_path / f"{name}.csv"
+            body = "".join(f"{float(v)!r}\n" for v in values * scale)
+            paths[name].write_text("value\n" + body, encoding="utf-8")
+        out = tmp_path / "out"
+        argv = ["mef", f"tiny={paths['tiny']}", f"ok={paths['ok']}", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert sorted(f.name for f in out.iterdir()) == [
+            "ok_na_values_mef.csv",
+            "tiny_na_values_mef.csv",
+        ]
+
 
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):

@@ -176,6 +176,17 @@ class TestClassifyShape:
         assert huge.shape is small.shape is MefShape.DECREASING
         assert slopes[1] == pytest.approx(slopes[0], rel=1e-12)
 
+    def test_fit_near_float_min(self, capfd):
+        # The column norms inside np.polyfit underflow to zero near 1e-300.
+        values = np.random.default_rng(41).uniform(1.0, 2.0, 50)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            small, tiny = mean_excess(values), mean_excess(values * 1e-300)
+            slopes = fitted_slope(small), fitted_slope(tiny)
+        assert tiny.shape is small.shape is MefShape.DECREASING
+        assert slopes[1] == pytest.approx(slopes[0], rel=1e-12)
+        assert "DLASCL" not in "".join(capfd.readouterr())
+
 
 class TestMaxToSum:
     def test_constant_series_ratios(self):

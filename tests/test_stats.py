@@ -188,3 +188,12 @@ def test_kurtosis_where_moments_overflow_or_vanish(scale):
     values = np.random.default_rng(80).uniform(1.0, 2.0, 50) * scale
     got = summarize(values).excess_kurtosis
     assert got == pytest.approx(summarize(values / scale).excess_kurtosis, rel=1e-12)
+
+
+@pytest.mark.parametrize("scale", [1e-80, 1e-77])
+def test_kurtosis_where_fourth_powers_go_subnormal(scale):
+    # Below about 1e-77 the fourth powers of the deviations are subnormal and
+    # lose digits, though their quotient stays finite.
+    values = np.random.default_rng(0).uniform(1.0, 2.0, 50)
+    got = summarize(values * scale).excess_kurtosis
+    assert got == pytest.approx(summarize(values).excess_kurtosis, rel=1e-12)
