@@ -133,38 +133,97 @@ def _load(args, asset: str, path: Path):
 # Output writing
 # ---------------------------------------------------------------------------
 
+SLICE_ROWS = 4096  # rows rendered and written at a time, which bounds a table's memory
 
-def _values(column) -> list:
-    """A column (numpy array or list) as Python values, with NaN as None."""
-    values = column.tolist() if isinstance(column, np.ndarray) else column
-    return [None if value != value else value for value in values]
+_RECORDS = object()  # stands, in a JSON payload, where the table's records go
 
 
-def _records(table: dict) -> list[dict]:
-    """The table's rows as JSON objects keyed by column name."""
-    return [dict(zip(table, row)) for row in zip(*map(_values, table.values()))]
+def _values(cells: list) -> list:
+    """A list column's cells, with NaN as None."""
+    return [None if cell != cell else cell for cell in cells]
+
+
+def _check_finite(table: dict) -> None:
+    """Raise InvalidParameterError naming the first column that holds ±inf."""
+    for column, cells in table.items():
+        if isinstance(cells, list):
+            cells = np.array([cell for cell in cells if isinstance(cell, float)])
+        if cells.dtype.kind == "f" and np.isinf(cells).any():
+            raise InvalidParameterError(f"column {column!r} holds an infinite value")
+
+
+def _cells(column, lo: int, hi: int, null: str) -> list:
+    """Rows lo:hi of a column for ``%s`` (a float's or int's repr), NaN as
+    ``null``; a list's cells (a text table's, in JSON) as json.dumps text."""
+    part = column[lo:hi]
+    if isinstance(part, list):
+        return list(map(json.dumps, _values(part)))
+    cells = part.tolist()
+    if part.dtype.kind == "f":
+        for i in np.flatnonzero(np.isnan(part)).tolist():
+            cells[i] = null
+    return cells
+
+
+def _write_rows(fh, template: str, columns: list, null: str, sep: str) -> None:
+    """Write ``template % row`` for each row, joined by ``sep``, SLICE_ROWS at a time."""
+    for lo in range(0, len(columns[0]), SLICE_ROWS):
+        cells = [_cells(column, lo, lo + SLICE_ROWS, null) for column in columns]
+        fh.write((sep if lo else "") + sep.join(map(template.__mod__, zip(*cells))))
+
+
+def _write_json_list(fh, items, line: str) -> None:
+    """Write a table's records, or an array's values, as json.dump(indent=2)
+    writes a list that opens the document line ``line``."""
+    columns = list(items.values()) if isinstance(items, dict) else [items]
+    end = line[: len(line) - len(line.lstrip(" "))]
+    pad, rows = end + "  ", len(columns[0])
+    slots = ['"%s"' if isinstance(c, np.ndarray) and c.dtype.kind == "U" else "%s" for c in columns]
+    template = pad + slots[0]
+    if isinstance(items, dict):
+        fields = ",\n".join(f"{pad}  {json.dumps(c)}: {s}" for c, s in zip(items, slots))
+        template = f"{pad}{{\n{fields}\n{pad}}}"
+    fh.write("[\n" if rows else "[")
+    _write_rows(fh, template, columns, "null", ",\n")
+    fh.write(f"\n{end}]" if rows else "]")
 
 
 def _emit(args, name: tuple, table: dict, payload=None) -> Path:
     """Write ``{--out}/{name joined by _}.{--format}`` and return its path.
 
-    ``table`` maps each column name, in output order, to a column: a numpy
-    array or a list. CSV writes it with csv.writer, which writes floats by
-    their repr and None as an empty cell; NaN is written as None. JSON writes
-    the table's records (NaN as null), or ``payload()`` for a document that
-    carries metadata; it is a zero-argument callable, called only for JSON.
+    ``table`` maps each column name, in output order, to a numpy array of
+    floats, ints or ISO date strings (written as they are), or to a list in a
+    table of text cells. NaN is written as an empty cell or null; ±inf raises
+    InvalidParameterError before the file is opened. CSV is laid out as
+    csv.writer and JSON as json.dump(indent=2) would: the table's records,
+    or ``payload()`` (called only for JSON), finite metadata in which
+    ``_RECORDS`` stands for the records and an array for its values.
     """
+    _check_finite(table)
     path = args.out / f"{'_'.join(name)}.{args.fmt}"
     if args.fmt == "json":
-        document = payload() if payload is not None else _records(table)
+        slots = []  # each array and _RECORDS in the payload, dumped as "\u0000"
+        try:
+            text = json.dumps(_RECORDS if payload is None else payload(), indent=2,
+                              allow_nan=False, default=lambda slot: slots.append(slot) or "\0")
+        except ValueError as exc:
+            raise InvalidParameterError(f"metadata is not finite: {exc}") from None
+        pieces = text.split('"\\u0000"')
         with path.open("w", encoding="utf-8") as fh:
-            json.dump(document, fh, indent=2)
+            fh.write(pieces[0])
+            for slot, head, tail in zip(slots, pieces, pieces[1:]):
+                _write_json_list(fh, table if slot is _RECORDS else slot, head.rpartition("\n")[2])
+                fh.write(tail)
             fh.write("\n")
         return path
     with path.open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(table)
-        writer.writerows(zip(*map(_values, table.values())))
+        if any(isinstance(cells, list) for cells in table.values()):
+            writer.writerows(zip(*map(_values, table.values())))
+        else:  # csv.writer quotes a row that is one empty cell
+            template = ",".join(["%s"] * len(table)) + "\r\n"
+            _write_rows(fh, template, list(table.values()), '""' if len(table) == 1 else "", "")
     return path
 
 
@@ -172,7 +231,7 @@ def _emit_row(args, row: dict, command: str) -> None:
     """One-row table in CSV; its record as a JSON object."""
     table = {column: [value] for column, value in row.items()}
     name = (row["asset"], row["frequency"], row["target"], command)
-    _emit(args, name, table, lambda: _records(table)[0])
+    _emit(args, name, table, lambda: dict(zip(row, _values(list(row.values())))))
 
 
 # ---------------------------------------------------------------------------
@@ -194,12 +253,12 @@ def _each_asset(args, handle) -> int:
 def _ingest(args, asset: str, path: Path) -> None:
     series = _prices(args, asset, path)
     frequency = series.frequency.value
-    table = {"date": [day.isoformat() for day in series.dates], "close": series.closes}
+    table = {"date": np.array([day.isoformat() for day in series.dates]), "close": series.closes}
     _emit(args, (asset, frequency, "prices", "ingest"), table, lambda: {
         "asset": asset,
         "frequency": frequency,
         "dropped_rows": series.dropped_rows,
-        "points": _records(table),
+        "points": _RECORDS,
     })
 
 
@@ -213,6 +272,7 @@ def _report(args) -> int:
             row["apen"] = apen(values, args.apen_params)
         except (TooShortError, ZeroToleranceError):
             row["apen"] = None
+        _check_finite({column: [row[column]] for column in table})
         for column, cells in table.items():
             cells.append(row[column])
 
@@ -265,7 +325,7 @@ def _mef(args, asset: str, path: Path) -> None:
         "trimmed": curve.trimmed,
         "shape": curve.shape.value,
         "fitted_slope": fitted_slope(curve) if len(curve) >= 2 else None,
-        "points": _records(table),
+        "points": _RECORDS,
     })
 
 
@@ -278,7 +338,7 @@ def _maxsum(args, asset: str, path: Path) -> None:
         "ratio": np.concatenate([trace.ratios for trace in traces]),
     }
     _emit(args, (*head.values(), "maxsum"), table, lambda: {**head, "traces": [
-        {"p": trace.p, "verdict": trace.verdict.value, "ratios": trace.ratios.tolist()}
+        {"p": trace.p, "verdict": trace.verdict.value, "ratios": trace.ratios}
         for trace in traces
     ]})
 
@@ -288,12 +348,12 @@ def _rolling(args, asset: str, path: Path) -> None:
     if dates is not None:
         dates = [day.isoformat() for day in dates]
     series = rolling(values, args.window, args.statistic, dates=dates, apen_params=args.apen_params)
-    table = {"date": series.dates, "value": series.values}
+    table = {"date": np.asarray(series.dates), "value": series.values}
     _emit(args, (*head.values(), "rolling"), table, lambda: {
         **head,
         "statistic": series.statistic.value,
         "window": series.window,
-        "points": _records(table),
+        "points": _RECORDS,
     })
 
 

@@ -61,11 +61,17 @@ class InvalidParameterError(TailscopeError):
     """A parameter value is outside its valid domain."""
 
 
-def _as_finite_array(values, *, min_n: int = 0, non_negative: bool = False, name: str = "values"):
-    """``values`` as a float64 array, checked in this order: at least
-    ``min_n`` values (TooShortError), all finite (InvalidParameterError),
+def _as_finite_array(
+    values, *, min_n: int = 0, non_negative: bool = False, name: str = "values", ndim: int = 1
+):
+    """``values`` as a float64 array, checked in this order: ``ndim``
+    dimensions, 1 for a series and 0 for a scalar (InvalidParameterError), at
+    least ``min_n`` values (TooShortError), all finite (InvalidParameterError),
     and, when ``non_negative``, none below zero (NegativeValueError)."""
     arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != ndim:
+        shape = "a scalar" if ndim == 0 else f"{ndim}-D"
+        raise InvalidParameterError(f"{name} must be {shape}, got shape {arr.shape}")
     if arr.size < min_n:
         raise TooShortError(f"need at least {min_n} values, got {arr.size}")
     if not np.isfinite(arr).all():

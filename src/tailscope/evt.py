@@ -133,7 +133,7 @@ def mean_excess_at(values, threshold: float) -> float:
     """Average overshoot above a finite ``threshold`` in finite ``values``:
     sum(x - a for x > a) / count."""
     arr = _as_finite_array(values)
-    a = _as_finite_array(threshold, name="threshold")
+    a = _as_finite_array(threshold, name="threshold", ndim=0)
     over = arr[arr > a]
     if over.size == 0:
         raise InvalidParameterError(f"no observations above threshold {threshold!r}")

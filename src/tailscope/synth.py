@@ -66,7 +66,7 @@ class GeneratorSpec:
         seed = _as_int(self.seed, "seed must be a non-negative integer", low=0)
         object.__setattr__(self, "seed", seed)
         for name in ("mu", "sigma", "lam", "xi", "beta", "alpha", "x_min"):
-            value = float(_as_finite_array(getattr(self, name), name=name))
+            value = float(_as_finite_array(getattr(self, name), name=name, ndim=0))
             object.__setattr__(self, name, value)
         positive = {
             Family.GAUSSIAN: ("sigma",),

@@ -310,6 +310,52 @@ class TestOverflow:
         ]
 
 
+def reject_constant(name):
+    raise ValueError(f"{name} is not strict JSON")
+
+
+def write_values(path, values):
+    path.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in values), encoding="utf-8")
+    return path
+
+
+class TestStrictOutput:
+    """A statistic that overflows to ±inf fails its asset before any file is
+    written; the other assets of the call still get theirs."""
+
+    @pytest.fixture
+    def inputs(self, tmp_path):
+        rng = np.random.default_rng(160)
+        big = write_values(tmp_path / "big.csv", 1e160 * rng.normal(size=50))
+        good = write_values(tmp_path / "good.csv", rng.normal(size=50))
+        return [f"big={big}", f"good={good}"]
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    @pytest.mark.parametrize("command, column", [
+        (["stats"], "std_dev"),
+        (["rolling", "--statistic", "std_dev", "--window", "10"], "value"),
+        (["report", "--r-mode", "absolute", "--r", "1e159"], "std_dev"),
+    ])
+    def test_infinite_statistic_fails_its_asset(self, tmp_path, capsys, inputs, command, column,
+                                                fmt):
+        out = tmp_path / "out"
+        argv = [command[0], *inputs, *command[1:], "--format", fmt, "--out", str(out)]
+        assert main(argv) == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"big: InvalidParameterError: column '{column}'")
+        written = [path.name for path in out.iterdir()]
+        if command[0] == "report":
+            assert written == [f"report_daily.{fmt}"]
+            assert "big" not in captured.out
+        else:
+            assert written == [f"good_na_values_{command[0]}.{fmt}"]
+        text = (out / written[0]).read_text(encoding="utf-8")
+        assert "inf" not in (text + captured.out).lower()
+        if fmt == "json":
+            json.loads(text, parse_constant=reject_constant)
+
+
 class TestStartup:
     def test_cli_import_loads_no_scipy(self):
         import tailscope

@@ -124,3 +124,34 @@ def test_integer_rule_rejects_bools_and_floats(name, bad):
 @pytest.mark.parametrize("name", INTEGER_PARAMETERS)
 def test_integer_rule_accepts_numpy_integers(name):
     INTEGER_PARAMETERS[name](np.int64(2))
+
+
+GRID = VALUES.reshape(8, 5)
+
+# name: (a call on an input of the wrong shape, the error it raises). Arrays
+# must be 1-D; mean_excess_at's threshold and GeneratorSpec's parameters 0-d.
+WRONG_SHAPE = {
+    "summarize 2-D": (lambda: summarize(GRID), InvalidParameterError),
+    "summarize None": (lambda: summarize(None), InvalidParameterError),
+    "rolling 2-D": (lambda: rolling(GRID, 5, "std_dev"), InvalidParameterError),
+    "rolling apen 2-D": (lambda: rolling(GRID, 5, "apen"), InvalidParameterError),
+    "apen 2-D": (lambda: apen(GRID), InvalidParameterError),
+    "mean_excess 2-D": (lambda: mean_excess(GRID), InvalidParameterError),
+    "max_to_sum 2-D": (lambda: max_to_sum(GRID, 2), InvalidParameterError),
+    "mean_excess_at 2-D": (lambda: mean_excess_at(GRID, 1.5), InvalidParameterError),
+    "mean_excess_at threshold 1-D": (
+        lambda: mean_excess_at(VALUES, [1.0, 1.5]), InvalidParameterError
+    ),
+    "GeneratorSpec parameter 1-D": (
+        lambda: GeneratorSpec(Family.GAUSSIAN, n=10, seed=1, mu=[0.0]), InvalidParameterError
+    ),
+}
+
+
+@pytest.mark.parametrize("name", WRONG_SHAPE)
+def test_dimension_rule(name):
+    call, error = WRONG_SHAPE[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(error):
+            call()
