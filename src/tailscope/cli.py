@@ -23,16 +23,11 @@ from pathlib import Path
 import numpy as np
 
 from .apen import ApenParams, apen
-from .errors import (
-    InvalidParameterError,
-    MissingColumnError,
-    TailscopeError,
-    TooShortError,
-    ZeroToleranceError,
-    _finite_cell,
-)
+from .errors import InvalidParameterError, TailscopeError, TooShortError, ZeroToleranceError
 from .evt import fitted_slope, max_to_sum, mean_excess
-from .series import Frequency, ReturnKind, fill_weekend, ingest_csv, log_returns, resample
+from .series import (
+    Frequency, ReturnKind, _read_csv, fill_weekend, ingest_csv, log_returns, resample
+)
 from .stats import RollingStatistic, rolling, summarize
 from .synth import Family, GeneratorSpec, generate
 
@@ -73,32 +68,8 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 
 
-def _read_bare_values(args, asset: str, path: Path) -> np.ndarray:
-    """A bare one-column sample's values; it is undated, so it cannot be filled."""
-    if asset in args.fill:
-        raise InvalidParameterError("bare value samples are undated; cannot fill")
-    values: list[float] = []
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        next(reader)  # header, already sniffed
-        for number, row in enumerate(reader, start=2):
-            if not row or not row[0].strip():
-                continue
-            values.append(_finite_cell(row[0], path, number, "value"))
-    return np.asarray(values, dtype=np.float64)
-
-
-def _sniff_header(path: Path) -> list[str]:
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        row = next(csv.reader(fh), None)
-    if row is None:
-        raise MissingColumnError(f"{path.name}: file is empty")
-    return [cell.strip().lower() for cell in row]
-
-
-def _prices(args, asset: str, path: Path):
-    """The one ingest → weekend fill → resample path, shared by every command."""
-    series = ingest_csv(path, asset)
+def _calendar(args, asset: str, series):
+    """The daily prices ``series`` after --fill-weekend and --frequency."""
     if asset in args.fill:
         series = fill_weekend(series)
     if args.frequency is not Frequency.DAILY:
@@ -106,26 +77,31 @@ def _prices(args, asset: str, path: Path):
     return series
 
 
+def _read(args, asset: str, path: Path):
+    """One input, opened once: its prices after --fill-weekend and --frequency,
+    or the values of a bare value sample, which is undated and cannot be filled."""
+    data = _read_csv(path, asset)
+    if not isinstance(data, np.ndarray):
+        return _calendar(args, asset, data)
+    if asset in args.fill:
+        raise InvalidParameterError("bare value samples are undated; cannot fill")
+    return data
+
+
 def _load(args, asset: str, path: Path):
     """The --target series of one input as (values, dates, head), where head
     holds the asset, frequency and target labels that name its output file.
     A bare value sample is undated: its dates are None and its labels na/values."""
-    header = _sniff_header(path)
-    if header == ["value"]:
+    data = _read(args, asset, path)
+    if isinstance(data, np.ndarray):
         if args.target != "prices":
             raise InvalidParameterError("bare value samples have no prices to derive returns from")
-        head = {"asset": asset, "frequency": "na", "target": "values"}
-        return _read_bare_values(args, asset, path), None, head
-    if "date" not in header or "close" not in header:
-        raise MissingColumnError(
-            f"{path.name}: expected Date and Close columns, or a single value column"
-        )
-    prices = _prices(args, asset, path)
+        return data, None, {"asset": asset, "frequency": "na", "target": "values"}
     head = {"asset": asset, "frequency": args.frequency.value, "target": args.target}
     kind = TARGETS[args.target]
     if kind is None:
-        return prices.closes, prices.dates, head
-    returns = log_returns(prices, kind)
+        return data.closes, data.dates, head
+    returns = log_returns(data, kind)
     return returns.values, returns.dates, head
 
 
@@ -251,7 +227,7 @@ def _each_asset(args, handle) -> int:
 
 
 def _ingest(args, asset: str, path: Path) -> None:
-    series = _prices(args, asset, path)
+    series = _calendar(args, asset, ingest_csv(path, asset))
     frequency = series.frequency.value
     table = {"date": np.array([day.isoformat() for day in series.dates]), "close": series.closes}
     _emit(args, (asset, frequency, "prices", "ingest"), table, lambda: {
@@ -277,10 +253,10 @@ def _report(args) -> int:
             cells.append(row[column])
 
     def handle(args, asset: str, path: Path) -> None:
-        if _sniff_header(path) == ["value"]:
-            add(asset, "na", "values", _read_bare_values(args, asset, path))
+        prices = _read(args, asset, path)
+        if isinstance(prices, np.ndarray):
+            add(asset, "na", "values", prices)
             return
-        prices = _prices(args, asset, path)
         add(asset, args.frequency.value, "prices", prices.closes)
         add(asset, args.frequency.value, "returns", log_returns(prices, ReturnKind.SIGNED).values)
 

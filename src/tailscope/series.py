@@ -28,7 +28,6 @@ from .errors import (
     InvalidParameterError,
     MissingColumnError,
     NonPositivePriceError,
-    TooShortError,
     UnparsableRowError,
     _as_finite_array,
     _finite_cell,
@@ -77,7 +76,7 @@ class PriceSeries:
         if bad.size:
             day = self.dates[int(bad[0])]
             raise NonPositivePriceError(
-                f"{day.isoformat()}: close {self.closes[bad[0]]!r} is not positive"
+                f"{day.isoformat()}: close {float(self.closes[bad[0]])!r} is not positive"
             )
 
     def __len__(self) -> int:
@@ -131,6 +130,57 @@ class ReturnSeries:
         )
 
 
+def _read_csv(path: Path, asset_id: str) -> PriceSeries | np.ndarray:
+    """Read a CSV in one pass: the float64 values of a bare sample, whose
+    header is one ``value`` column, or else the date-sorted daily
+    :class:`PriceSeries` of its Date and Close columns.
+
+    Header names are stripped and matched case-insensitively, and when two
+    match, the last is read. Blank lines are skipped. A price row whose close
+    is empty, ``null`` or missing (the row ends before the Close column) is
+    dropped and counted in ``dropped_rows``. Errors name the file's line.
+    """
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        header = [name.strip().lower() for name in next(reader, [])]
+        if header == ["value"]:
+            values = [
+                _finite_cell(row[0], path, reader.line_num, "value")
+                for row in reader
+                if row and row[0].strip()
+            ]
+            return np.array(values, dtype=np.float64)
+        column = {name: i for i, name in enumerate(header)}
+        if "date" not in column or "close" not in column:
+            raise MissingColumnError(f"{path.name}: header must contain Date and Close columns")
+        date_at, close_at = column["date"], column["close"]
+        rows: list[tuple[dt.date, float]] = []
+        dropped = 0
+        for row in reader:
+            if not row:
+                continue
+            raw_close = row[close_at].strip() if close_at < len(row) else ""
+            if raw_close == "" or raw_close.lower() == "null":
+                dropped += 1
+                continue
+            raw_date = row[date_at].strip() if date_at < len(row) else ""
+            try:
+                day = dt.date.fromisoformat(raw_date)
+            except ValueError:
+                raise UnparsableRowError(
+                    f"{path.name} row {reader.line_num}: unparsable date {raw_date!r}"
+                ) from None
+            rows.append((day, _finite_cell(raw_close, path, reader.line_num, "close")))
+    rows.sort(key=lambda item: item[0])
+    return PriceSeries(
+        asset_id,
+        Frequency.DAILY,
+        tuple(day for day, _ in rows),
+        [close for _, close in rows],
+        dropped_rows=dropped,
+    )
+
+
 def ingest_csv(path: str | Path, asset_id: str) -> PriceSeries:
     """Parse a Yahoo-style daily CSV into a date-sorted :class:`PriceSeries`
     tagged ``Frequency.DAILY``.
@@ -144,46 +194,14 @@ def ingest_csv(path: str | Path, asset_id: str) -> PriceSeries:
 
     Raises
     ------
-    MissingColumnError, UnparsableRowError, NonPositivePriceError,
-    DuplicateDateError
+    MissingColumnError (also for a bare one-column ``value`` file),
+    UnparsableRowError, NonPositivePriceError, DuplicateDateError
     """
     path = Path(path)
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.DictReader(fh)
-        columns = {name.strip().lower(): name for name in reader.fieldnames or []}
-        if "date" not in columns or "close" not in columns:
-            raise MissingColumnError(
-                f"{path.name}: header must contain Date and Close columns"
-            )
-        date_col, close_col = columns["date"], columns["close"]
-        rows: list[tuple[dt.date, float]] = []
-        dropped = 0
-        for number, row in enumerate(reader, start=2):
-            raw_close = (row.get(close_col) or "").strip()
-            if raw_close == "" or raw_close.lower() == "null":
-                dropped += 1
-                continue
-            raw_date = (row.get(date_col) or "").strip()
-            try:
-                day = dt.date.fromisoformat(raw_date)
-            except ValueError:
-                raise UnparsableRowError(
-                    f"{path.name} row {number}: unparsable date {raw_date!r}"
-                ) from None
-            close = _finite_cell(raw_close, path, number, "close")
-            if close <= 0.0:
-                raise NonPositivePriceError(
-                    f"{day.isoformat()}: close {close!r} is not positive"
-                )
-            rows.append((day, close))
-    rows.sort(key=lambda item: item[0])
-    return PriceSeries(
-        asset_id,
-        Frequency.DAILY,
-        tuple(day for day, _ in rows),
-        [close for _, close in rows],
-        dropped_rows=dropped,
-    )
+    series = _read_csv(path, asset_id)
+    if not isinstance(series, PriceSeries):
+        raise MissingColumnError(f"{path.name}: header must contain Date and Close columns")
+    return series
 
 
 def fill_weekend(series: PriceSeries) -> PriceSeries:

@@ -140,7 +140,7 @@ def rolling(
         raise WindowTooSmallError(
             f"window {window} is below the minimum {minimum} for {stat.value}"
         )
-    if window > n:
+    if window > n and arr.ndim == 1:  # other shapes fail the dimension rule below
         raise WindowTooLargeError(f"window {window} exceeds series length {n}")
     _as_finite_array(arr)
     if dates is not None:

@@ -281,6 +281,33 @@ class TestBareValues:
         assert list(out.iterdir()) == []
 
 
+class TestOneReader:
+    def test_bad_header_gets_one_message(self, tmp_path, capsys):
+        bad = Path(__file__).resolve().parent / "golden" / "inputs" / "bad.csv"
+        errors = []
+        for command in ("ingest", "stats", "report"):
+            assert main([command, f"bad={bad}", "--out", str(tmp_path / command)]) == EXIT_PARTIAL
+            errors.append(capsys.readouterr().err)
+        assert errors[0].startswith("bad: MissingColumnError: bad.csv: ")
+        assert errors == [errors[0]] * 3
+
+    def test_each_input_is_opened_once(self, tmp_path, price_file, monkeypatch):
+        sample = tmp_path / "sample.csv"
+        sample.write_text("value\n1.5\n2.5\n3.5\n", encoding="utf-8")
+        opened = []
+        path_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        argv = ["stats", f"btc={price_file}", f"s={sample}", "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert opened.count(price_file) == 1
+        assert opened.count(sample) == 1
+
+
 class TestOverflow:
     def test_maxsum_overflow_fails_asset_without_nan(self, tmp_path, capsys):
         values = np.random.default_rng(80).uniform(1e80, 2e80, 50)

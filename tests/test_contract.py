@@ -135,6 +135,9 @@ WRONG_SHAPE = {
     "summarize None": (lambda: summarize(None), InvalidParameterError),
     "rolling 2-D": (lambda: rolling(GRID, 5, "std_dev"), InvalidParameterError),
     "rolling apen 2-D": (lambda: rolling(GRID, 5, "apen"), InvalidParameterError),
+    "rolling 2-D smaller than the window": (
+        lambda: rolling(np.ones((3, 3)), 10, "std_dev"), InvalidParameterError
+    ),
     "apen 2-D": (lambda: apen(GRID), InvalidParameterError),
     "mean_excess 2-D": (lambda: mean_excess(GRID), InvalidParameterError),
     "max_to_sum 2-D": (lambda: max_to_sum(GRID, 2), InvalidParameterError),

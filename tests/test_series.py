@@ -103,6 +103,31 @@ class TestIngest:
         path.write_text("date,close\n2020-01-01,100\n2020-01-02,101\n")
         assert len(ingest_csv(path, "a")) == 2
 
+    def test_error_names_the_line_after_a_blank_line(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("Date,Close\n2020-01-01,100\n\n2020-01-02,abc\n")
+        with pytest.raises(UnparsableRowError, match="row 4"):
+            ingest_csv(path, "a")
+
+    def test_blank_lines_are_not_dropped_rows(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("Date,Close\n\n2020-01-01,100\n\n2020-01-02,101\n\n")
+        series = ingest_csv(path, "a")
+        assert len(series) == 2
+        assert series.dropped_rows == 0
+
+    def test_row_short_of_the_close_column_is_dropped(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("Date,Open,Close\n2020-01-01,1,100\n2020-01-02,1\n2020-01-03,1,102\n")
+        series = ingest_csv(path, "a")
+        np.testing.assert_array_equal(series.closes, [100.0, 102.0])
+        assert series.dropped_rows == 1
+
+    def test_last_of_two_matching_headers_is_read(self, tmp_path):
+        path = tmp_path / "a.csv"
+        path.write_text("Date,close,Close\n2020-01-01,1,100\n")
+        np.testing.assert_array_equal(ingest_csv(path, "a").closes, [100.0])
+
 
 class TestPriceSeries:
     def test_rejects_nonpositive_close(self):
