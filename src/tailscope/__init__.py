@@ -6,7 +6,7 @@ descriptive statistics (with rolling windows), approximate entropy,
 empirical mean-excess curves, and maximum-to-sum moment traces.
 """
 
-from .apen import ApenParams, RMode, apen, rolling_apen
+from .apen import ApenParams, RMode, apen
 from .errors import (
     AllZeroError,
     DuplicateDateError,
@@ -53,7 +53,6 @@ __all__ = [
     "ApenParams",
     "RMode",
     "apen",
-    "rolling_apen",
     "MaxSumTrace",
     "MefCurve",
     "MefShape",

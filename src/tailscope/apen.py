@@ -20,11 +20,10 @@ regular series.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, ZeroToleranceError, _as_finite_array, _as_int
+from .errors import InvalidParameterError, ZeroToleranceError, _as_finite_array, _as_int, _Choice
 
 # Distance blocks hold _BLOCK_ROWS sorted templates at a time and never more
 # than _CHUNK_CELLS float64 cells (~32 MB), whatever N is. A block of sorted
@@ -42,7 +41,7 @@ _ROLLING_CELLS = 262_144
 _EPS = float(np.finfo(np.float64).eps)
 
 
-class RMode(str, Enum):
+class RMode(_Choice):
     RELATIVE = "relative"  # r = r_value * sample SD of the analyzed window
     ABSOLUTE = "absolute"
 
@@ -58,8 +57,8 @@ class ApenParams:
     def __post_init__(self):
         object.__setattr__(self, "r_mode", RMode(self.r_mode))
         object.__setattr__(self, "m", _as_int(self.m, "m must be an integer >= 1", low=1))
-        r = float(self.r_value)
-        if not np.isfinite(r) or r <= 0.0:
+        r = float(_as_finite_array(self.r_value, name="r_value", ndim=0))
+        if r <= 0.0:
             raise InvalidParameterError("r_value must be a positive real")
         object.__setattr__(self, "r_value", r)
 
@@ -247,16 +246,3 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
         phi_m1 = np.log(counts[1, :b, : t - 1] / (t - 1)).mean(axis=1)
         np.subtract(phi_m, phi_m1, out=out[first : first + b])
     return out
-
-
-def rolling_apen(values, window: int, params: ApenParams | None = None, *, dates=None):
-    """ApEn over every full window of ``window`` observations.
-
-    A relative tolerance is re-resolved from each window's own standard
-    deviation. Windows are counted in batches from diagonal blocks of one
-    template distance matrix per chunk; each value is bit-identical to
-    ``apen`` on that window alone.
-    """
-    from .stats import rolling  # deferred import; stats dispatches back here
-
-    return rolling(values, window, "apen", dates=dates, apen_params=params)

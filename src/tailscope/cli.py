@@ -262,9 +262,8 @@ def _report(args) -> int:
 
     status = _each_asset(args, handle)
     _emit(args, ("report", args.frequency.value), table)
-    print(",".join(REPORT_COLUMNS))
-    for row in zip(*map(_values, table.values())):
-        print(",".join("" if cell is None else str(cell) for cell in row))
+    stdout = csv.writer(sys.stdout, lineterminator="\n")  # the file's rows, quoted alike
+    stdout.writerows([REPORT_COLUMNS, *zip(*map(_values, table.values()))])
     return status
 
 

@@ -1,6 +1,7 @@
 """Exception types raised across the library, and the input checks that raise them."""
 
 import math
+from enum import Enum
 
 import numpy as np
 
@@ -61,14 +62,31 @@ class InvalidParameterError(TailscopeError):
     """A parameter value is outside its valid domain."""
 
 
+class _Choice(str, Enum):
+    """String enum whose unknown values raise InvalidParameterError naming the choices."""
+
+    @classmethod
+    def _missing_(cls, value):
+        choices = ", ".join(member.value for member in cls)
+        raise InvalidParameterError(f"{cls.__name__} must be one of {choices}, got {value!r}")
+
+
+def _as_float64(values, name: str = "values") -> np.ndarray:
+    """``values`` as a float64 array, or InvalidParameterError if numpy cannot convert it."""
+    try:
+        return np.asarray(values, dtype=np.float64)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise InvalidParameterError(f"{name} must be numeric: {exc}") from None
+
+
 def _as_finite_array(
     values, *, min_n: int = 0, non_negative: bool = False, name: str = "values", ndim: int = 1
 ):
-    """``values`` as a float64 array, checked in this order: ``ndim``
+    """``values`` as a float64 array (``_as_float64``), checked in this order: ``ndim``
     dimensions, 1 for a series and 0 for a scalar (InvalidParameterError), at
     least ``min_n`` values (TooShortError), all finite (InvalidParameterError),
     and, when ``non_negative``, none below zero (NegativeValueError)."""
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _as_float64(values, name)
     if arr.ndim != ndim:
         shape = "a scalar" if ndim == 0 else f"{ndim}-D"
         raise InvalidParameterError(f"{name} must be {shape}, got shape {arr.shape}")

@@ -22,7 +22,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
@@ -31,7 +30,9 @@ from .errors import (
     InvalidParameterError,
     TooFewPointsError,
     _as_finite_array,
+    _as_float64,
     _as_int,
+    _Choice,
     _freeze,
 )
 
@@ -49,7 +50,7 @@ DECILE_CONVERGING = 0.05
 FINAL_NOT_CONVERGING = 0.10
 
 
-class MefShape(str, Enum):
+class MefShape(_Choice):
     DECREASING = "decreasing"
     CONSTANT = "constant"
     INCREASING_LINEAR = "increasing_linear"
@@ -57,7 +58,7 @@ class MefShape(str, Enum):
     UNCLASSIFIED = "unclassified"
 
 
-class Verdict(str, Enum):
+class Verdict(_Choice):
     CONVERGING = "converging"
     NOT_CONVERGING = "not_converging"
     INCONCLUSIVE = "inconclusive"
@@ -149,6 +150,7 @@ def mean_excess(values, trim_fraction: float = 0.02) -> MefCurve:
     least one exceedance. Callers pass closing prices or absolute returns;
     signed values are rejected.
     """
+    trim_fraction = float(_as_finite_array(trim_fraction, name="trim_fraction", ndim=0))
     if not 0.0 <= trim_fraction < 0.5:
         raise InvalidParameterError("trim_fraction must lie in [0, 0.5)")
     arr = _as_finite_array(values, min_n=10, non_negative=True)
@@ -190,8 +192,8 @@ def classify_shape(thresholds, mean_excess_values) -> MefShape:
     order-statistic thresholds cluster at low values where the curve is
     stable, while the sparse top would contribute only noise.
     """
-    a = np.asarray(thresholds, dtype=np.float64)
-    me = np.asarray(mean_excess_values, dtype=np.float64)
+    a = _as_float64(thresholds, "thresholds")
+    me = _as_float64(mean_excess_values, "mean-excess values")
     if a.size != me.size:
         raise InvalidParameterError("thresholds and mean-excess lengths differ")
     if a.size < 5:

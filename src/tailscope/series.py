@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 from dataclasses import dataclass
-from enum import Enum
 from pathlib import Path
 
 import numpy as np
@@ -30,18 +29,19 @@ from .errors import (
     NonPositivePriceError,
     UnparsableRowError,
     _as_finite_array,
+    _Choice,
     _finite_cell,
     _freeze,
 )
 
 
-class Frequency(str, Enum):
+class Frequency(_Choice):
     DAILY = "daily"
     WEEKLY = "weekly"
     MONTHLY = "monthly"
 
 
-class ReturnKind(str, Enum):
+class ReturnKind(_Choice):
     SIGNED = "signed"
     ABSOLUTE = "absolute"
 
@@ -130,10 +130,10 @@ class ReturnSeries:
         )
 
 
-def _read_csv(path: Path, asset_id: str) -> PriceSeries | np.ndarray:
+def _read_csv(path: Path, asset_id: str, *, dated: bool = False) -> PriceSeries | np.ndarray:
     """Read a CSV in one pass: the float64 values of a bare sample, whose
-    header is one ``value`` column, or else the date-sorted daily
-    :class:`PriceSeries` of its Date and Close columns.
+    header is one ``value`` column (unless ``dated``), or else the
+    date-sorted daily :class:`PriceSeries` of its Date and Close columns.
 
     Header names are stripped and matched case-insensitively, and when two
     match, the last is read. Blank lines are skipped. A price row whose close
@@ -143,7 +143,7 @@ def _read_csv(path: Path, asset_id: str) -> PriceSeries | np.ndarray:
     with path.open(newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         header = [name.strip().lower() for name in next(reader, [])]
-        if header == ["value"]:
+        if header == ["value"] and not dated:
             values = [
                 _finite_cell(row[0], path, reader.line_num, "value")
                 for row in reader
@@ -197,11 +197,7 @@ def ingest_csv(path: str | Path, asset_id: str) -> PriceSeries:
     MissingColumnError (also for a bare one-column ``value`` file),
     UnparsableRowError, NonPositivePriceError, DuplicateDateError
     """
-    path = Path(path)
-    series = _read_csv(path, asset_id)
-    if not isinstance(series, PriceSeries):
-        raise MissingColumnError(f"{path.name}: header must contain Date and Close columns")
-    return series
+    return _read_csv(Path(path), asset_id, dated=True)
 
 
 def fill_weekend(series: PriceSeries) -> PriceSeries:

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
@@ -14,7 +13,9 @@ from .errors import (
     WindowTooLargeError,
     WindowTooSmallError,
     _as_finite_array,
+    _as_float64,
     _as_int,
+    _Choice,
     _freeze,
 )
 
@@ -28,7 +29,7 @@ _ROLLING_BLOCK_CELLS = 65_536
 _QUARTIC_FLOOR = 2.0**-255
 
 
-class RollingStatistic(str, Enum):
+class RollingStatistic(_Choice):
     STD_DEV = "std_dev"
     COEFF_VARIATION = "coeff_variation"
     APEN = "apen"
@@ -43,17 +44,6 @@ class StatsSummary:
     std_dev: float
     coeff_variation: float | None  # None when |mean| < 1e-12
     excess_kurtosis: float | None  # None when n < 4 or the sample is constant
-
-
-def _std(arr: np.ndarray) -> float:
-    return float(arr.std(ddof=1))
-
-
-def _coeff_variation(arr: np.ndarray) -> float:
-    mean = arr.mean()
-    if abs(mean) < _CV_MEAN_FLOOR:
-        return float("nan")
-    return float(arr.std(ddof=1) / mean)
 
 
 def _excess_kurtosis(arr: np.ndarray) -> float:
@@ -82,13 +72,14 @@ def _quartic_ratio(dev: np.ndarray) -> float:
 def summarize(values) -> StatsSummary:
     """Mean, sample SD, coefficient of variation, and excess kurtosis."""
     arr = _as_finite_array(values, min_n=2)
-    cv = _coeff_variation(arr)
+    mean, sd = arr.mean(), arr.std(ddof=1)
+    cv = sd / mean if abs(mean) >= _CV_MEAN_FLOOR else np.nan
     kurt = _excess_kurtosis(arr)
     return StatsSummary(
         n=int(arr.size),
-        mean=float(arr.mean()),
-        std_dev=_std(arr),
-        coeff_variation=None if np.isnan(cv) else cv,
+        mean=float(mean),
+        std_dev=float(sd),
+        coeff_variation=None if np.isnan(cv) else float(cv),
         excess_kurtosis=None if np.isnan(kurt) else kurt,
     )
 
@@ -130,7 +121,7 @@ def rolling(
     matches of a chunk of windows at once (see ``apen._rolling_apen``); every
     value is bit-identical to the statistic of its window alone.
     """
-    arr = np.asarray(values, dtype=np.float64)
+    arr = _as_float64(values)
     stat = RollingStatistic(statistic)
     n = arr.size
     window = _as_int(window, "window must be an integer")
@@ -166,7 +157,7 @@ def _rolling_sd(arr: np.ndarray, window: int) -> np.ndarray:
     """Sample SD of every window of ``arr``.
 
     Each window is reduced on its own row with the same pairwise sums as
-    _std, so the values match its values to the bit.
+    ``summarize``'s SD, so the values match its values to the bit.
     """
     windows = sliding_window_view(arr, window)
     sd = np.empty(windows.shape[0])

@@ -25,14 +25,13 @@ exponential(lam=1) bit for bit under the same seed.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 
 import numpy as np
 
-from .errors import InvalidParameterError, _as_finite_array, _as_int
+from .errors import InvalidParameterError, _as_finite_array, _as_int, _Choice
 
 
-class Family(str, Enum):
+class Family(_Choice):
     GAUSSIAN = "gaussian"
     EXPONENTIAL = "exponential"
     GPD = "gpd"

@@ -1,16 +1,19 @@
+import ast
 import importlib
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from tailscope.apen import ApenParams, RMode, apen, rolling_apen
+from tailscope.apen import ApenParams, RMode, apen
 from tailscope.errors import (
     InvalidParameterError,
     TooShortError,
     WindowTooLargeError,
     ZeroToleranceError,
 )
+from tailscope.stats import rolling
 
 from reference_apen import apen_dense, apen_direct, rolling_apen_loop
 
@@ -122,25 +125,25 @@ class TestRollingApen:
     def test_full_window_equals_apen(self):
         rng = np.random.default_rng(2)
         data = rng.normal(size=50)
-        series = rolling_apen(data, 50)
+        series = rolling(data, 50, "apen")
         assert len(series) == 1
         assert series.values[0] == apen(data)
 
     def test_periodic_series_windows_all_equal(self):
         data = np.array([0.0, 1.0] * 30)
-        series = rolling_apen(data, 30)
+        series = rolling(data, 30, "apen")
         np.testing.assert_allclose(series.values, series.values[0], atol=1e-12)
 
     def test_white_noise_windows_above_periodic_floor(self):
         rng = np.random.default_rng(606)
         noise = rng.standard_normal(160)
-        windows = rolling_apen(noise, 100)
+        windows = rolling(noise, 100, "apen")
         periodic = apen(np.tile([0.0, 1.0, 0.0, -1.0], 25))
         assert windows.values.min() > periodic
 
     def test_window_too_large(self):
         with pytest.raises(WindowTooLargeError):
-            rolling_apen(np.zeros(10), 11)
+            rolling(np.zeros(10), 11, "apen")
 
 
 def _absolute(m, r):
@@ -236,14 +239,14 @@ class TestBatchedRollingApen:
                         patch.setattr(apen_module, "_ROLLING_WINDOWS", windows)
                     if cells is not None:
                         patch.setattr(apen_module, "_ROLLING_CELLS", cells)
-                    got = rolling_apen(data, window, params).values
+                    got = rolling(data, window, "apen", apen_params=params).values
                 assert np.array_equal(got, want), (window, windows, cells)
 
     def test_constant_run_raises_zero_tolerance(self):
         data = np.random.default_rng(12).normal(size=300)
         data[100:220] = 3.0
         with pytest.raises(ZeroToleranceError):
-            rolling_apen(data, 100)
+            rolling(data, 100, "apen")
         with pytest.raises(ZeroToleranceError):
             rolling_apen_loop(data, 100)
 
@@ -257,7 +260,7 @@ class TestBatchedRollingApen:
             (np.concatenate((huge, constant)), InvalidParameterError),
         ):
             with pytest.raises(error):
-                rolling_apen(data, 10)
+                rolling(data, 10, "apen")
             with pytest.raises(error):
                 rolling_apen_loop(data, 10)
 
@@ -273,11 +276,26 @@ class TestToleranceOverflow:
     def test_rolling_apen_raises_invalid_parameter(self):
         data = 1e160 * np.random.default_rng(51).normal(size=150)
         with pytest.raises(InvalidParameterError, match="overflows float64"):
-            rolling_apen(data, 100)
+            rolling(data, 100, "apen")
 
     def test_absolute_tolerance_needs_no_sd(self):
         data = 1e160 * np.random.default_rng(52).normal(size=60)
         params = _absolute(2, 1e159)
         assert np.array_equal(
-            rolling_apen(data, 30, params).values, rolling_apen_loop(data, 30, params)
+            rolling(data, 30, "apen", apen_params=params).values,
+            rolling_apen_loop(data, 30, params),
         )
+
+
+
+def test_apen_imports_nothing_from_stats():
+    """stats.rolling calls into apen, so apen importing stats would be a cycle."""
+    module = importlib.import_module("tailscope.apen")
+    names = set()
+    for node in ast.walk(ast.parse(Path(module.__file__).read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            names |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom):
+            base = "tailscope." if node.level else ""
+            names |= {base + (node.module or alias.name) for alias in node.names}
+    assert {name for name in names if name.startswith("tailscope")} == {"tailscope.errors"}

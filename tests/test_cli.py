@@ -86,6 +86,15 @@ class TestReport:
         rows = read_rows(tmp_path / "report_daily.csv")
         assert {r["asset"] for r in rows} == {"btc"}
 
+    def test_stdout_rows_are_the_file_rows(self, tmp_path, price_file, capsys):
+        assert main(["report", f"a,b={price_file}", "--out", str(tmp_path)]) == EXIT_OK
+        printed = list(csv.reader(capsys.readouterr().out.splitlines()))
+        with (tmp_path / "report_daily.csv").open(newline="", encoding="utf-8") as fh:
+            written = list(csv.reader(fh))
+        assert [len(row) for row in printed] == [9, 9, 9]
+        assert printed == written
+        assert printed[1][0] == "a,b"
+
 
 class TestSubcommands:
     def test_ingest_writes_normalized_csv(self, tmp_path):

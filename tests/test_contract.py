@@ -3,10 +3,13 @@
 Every public function that takes an array raises its documented
 TailscopeError subclass, and no warning, on NaN, on either infinity, on too
 few values, and on a negative value where it needs non-negative ones. Every
-integer parameter rejects bools and floats and accepts numpy integers. Cases
-that another test file already covers are left out of the table.
+integer parameter rejects bools and floats and accepts numpy integers. Input
+that is not numeric and a string that is none of an enum's choices raise
+InvalidParameterError. Cases that another test file already covers are left
+out of the table.
 """
 
+import datetime as dt
 import warnings
 
 import numpy as np
@@ -15,19 +18,26 @@ import pytest
 from tailscope import (
     ApenParams,
     Family,
+    Frequency,
     GeneratorSpec,
     InvalidParameterError,
+    MefShape,
     NegativeValueError,
+    PriceSeries,
+    ReturnKind,
+    RMode,
+    RollingStatistic,
     TooFewPointsError,
     TooShortError,
+    Verdict,
     WindowTooLargeError,
     apen,
     classify_shape,
     max_to_sum,
     mean_excess,
     mean_excess_at,
+    resample,
     rolling,
-    rolling_apen,
     summarize,
 )
 
@@ -42,7 +52,6 @@ ARRAY_FUNCTIONS = {
     ),
     "rolling apen": (lambda v: rolling(v, 5, "apen"), 5, WindowTooLargeError, False),
     "apen": (apen, 4, TooShortError, False),
-    "rolling_apen": (lambda v: rolling_apen(v, 5), 5, WindowTooLargeError, False),
     "mean_excess": (mean_excess, 10, TooShortError, True),
     # No value lies above the threshold of an empty sample.
     "mean_excess_at": (lambda v: mean_excess_at(v, 1.5), 1, InvalidParameterError, False),
@@ -61,7 +70,6 @@ COVERED = {
     ("rolling std_dev", "short"),
     ("apen", "nan"),
     ("apen", "short"),
-    ("rolling_apen", "short"),
     ("mean_excess", "short"),
     ("mean_excess", "negative"),
     ("max_to_sum", "short"),
@@ -158,3 +166,73 @@ def test_dimension_rule(name):
         warnings.simplefilter("error")
         with pytest.raises(error):
             call()
+
+
+DAYS = PriceSeries("x", Frequency.DAILY, [dt.date(2020, 1, 1), dt.date(2020, 1, 2)], [1.0, 2.0])
+
+# name: (a call with a parameter of the wrong type or an unknown choice, what
+# the InvalidParameterError says). Numeric strings such as "0.1" convert, as
+# numpy converts them; anything numpy cannot convert is not numeric.
+BAD_TYPE = {
+    "summarize strings": (lambda: summarize(["a", "b"]), "values must be numeric"),
+    "summarize ragged": (lambda: summarize([[1.0, 2.0], [3.0]]), "values must be numeric"),
+    "summarize beyond float64": (lambda: summarize([10**400, 1]), "values must be numeric"),
+    "rolling strings": (lambda: rolling(["a"] * 10, 5, "std_dev"), "values must be numeric"),
+    "apen string": (lambda: apen("abcdef"), "values must be numeric"),
+    "mean_excess strings": (lambda: mean_excess(["a"] * 20), "values must be numeric"),
+    "mean_excess_at threshold string": (
+        lambda: mean_excess_at(VALUES, "x"), "threshold must be numeric"
+    ),
+    "classify_shape strings": (
+        lambda: classify_shape("abcde", np.arange(5.0)), "thresholds must be numeric"
+    ),
+    "max_to_sum dict": (lambda: max_to_sum({"a": 1}, 2), "values must be numeric"),
+    "GeneratorSpec mu": (
+        lambda: GeneratorSpec(Family.GAUSSIAN, n=10, seed=1, mu="x"), "mu must be numeric"
+    ),
+    "ApenParams r_value string": (lambda: ApenParams(r_value="x"), "r_value must be numeric"),
+    "ApenParams r_value NaN": (lambda: ApenParams(r_value=np.nan), "r_value must be finite"),
+    "ApenParams r_value 1-D": (lambda: ApenParams(r_value=[0.2]), "r_value must be a scalar"),
+    "mean_excess trim_fraction None": (
+        lambda: mean_excess(VALUES, None), "trim_fraction must be finite"
+    ),
+    "mean_excess trim_fraction NaN": (
+        lambda: mean_excess(VALUES, np.nan), "trim_fraction must be finite"
+    ),
+    "mean_excess trim_fraction 1-D": (
+        lambda: mean_excess(VALUES, np.array([0.1, 0.2])), "trim_fraction must be a scalar"
+    ),
+    "rolling statistic": (lambda: rolling(VALUES, 5, "foo"), "RollingStatistic must be one of"),
+    "ApenParams r_mode": (lambda: ApenParams(r_mode="z"), "RMode must be one of"),
+    "resample target": (lambda: resample(DAYS, "foo"), "Frequency must be one of"),
+    "PriceSeries frequency": (
+        lambda: PriceSeries("x", "foo", DAYS.dates, DAYS.closes), "Frequency must be one of"
+    ),
+    "GeneratorSpec family": (lambda: GeneratorSpec("q", n=10, seed=1), "Family must be one of"),
+}
+
+
+@pytest.mark.parametrize("name", BAD_TYPE)
+def test_type_rule(name):
+    call, message = BAD_TYPE[name]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match=message):
+            call()
+
+
+def test_numeric_strings_convert():
+    assert mean_excess(VALUES, "0.1").trimmed == mean_excess(VALUES, 0.1).trimmed
+    assert ApenParams(r_value="0.5").r_value == 0.5
+
+
+@pytest.mark.parametrize(
+    "enum",
+    [RMode, RollingStatistic, Frequency, ReturnKind, MefShape, Verdict, Family],
+    ids=lambda enum: enum.__name__,
+)
+def test_unknown_choice_names_the_choices(enum):
+    with pytest.raises(InvalidParameterError) as raised:
+        enum("no such choice")
+    assert all(member.value in str(raised.value) for member in enum)
+    assert all(enum(member.value) is member for member in enum)

@@ -13,6 +13,7 @@ from tailscope.errors import (
     TooShortError,
     UnparsableRowError,
 )
+from tailscope import series as series_module
 from tailscope.series import (
     Frequency,
     PriceSeries,
@@ -127,6 +128,21 @@ class TestIngest:
         path = tmp_path / "a.csv"
         path.write_text("Date,close,Close\n2020-01-01,1,100\n")
         np.testing.assert_array_equal(ingest_csv(path, "a").closes, [100.0])
+
+    def test_bare_file_is_rejected_at_its_header(self, tmp_path, monkeypatch):
+        path = tmp_path / "a.csv"
+        path.write_text("value\n1.5\nabc\n2.5\n")
+        cells = []
+        finite_cell = series_module._finite_cell
+
+        def counting_cell(*args):
+            cells.append(args)
+            return finite_cell(*args)
+
+        monkeypatch.setattr(series_module, "_finite_cell", counting_cell)
+        with pytest.raises(MissingColumnError, match="header must contain Date and Close"):
+            ingest_csv(path, "a")
+        assert cells == []
 
 
 class TestPriceSeries:
