@@ -68,8 +68,9 @@ class ApenParams:
         return self.m + 2
 
     def resolve_r(self, values) -> float:
-        """Tolerance in data units for the given window."""
-        arr = np.asarray(values, dtype=np.float64)
+        """Tolerance in data units for the given window, which takes the
+        input contract of ``apen`` (``_as_finite_array`` with ``min_length``)."""
+        arr = _as_finite_array(values, min_n=self.min_length)
         return float(self.tolerances(1, lambda: arr.std(ddof=1, keepdims=True))[0])
 
     def tolerances(self, count: int, window_sd) -> np.ndarray:
@@ -127,7 +128,10 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     cells = int(((stops - starts) * (cols_hi - cols_lo)).max())
     dist_buf, diff_buf = np.empty(cells), np.empty(cells)
     within_buf = np.empty(cells, dtype=bool)
-    counts = np.empty((2, t), dtype=np.int64)
+    # No count exceeds t, so the narrowest unsigned type that holds t holds
+    # every count exactly, and the match mask, viewed as uint8, sums into it
+    # without a cast to a wider type.
+    counts = np.empty((2, t), dtype=np.min_scalar_type(t))
     for start, stop, c0, c1 in zip(
         starts.tolist(), stops.tolist(), cols_lo.tolist(), cols_hi.tolist()
     ):
@@ -136,17 +140,18 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
         dist = dist_buf[:size].reshape(shape)
         diff = diff_buf[:size].reshape(shape)
         within = within_buf[:size].reshape(shape)
+        matches = within.view(np.uint8)
         np.subtract.outer(first[start:stop], first[c0:c1], out=dist)
         np.abs(dist, out=dist)
         for k in range(1, m + 1):
             if k == m:
                 np.less_equal(dist, r, out=within)
-                np.add.reduce(within, axis=1, dtype=np.int64, out=counts[0, start:stop])
+                np.add.reduce(matches, axis=1, dtype=counts.dtype, out=counts[0, start:stop])
             np.subtract.outer(coords[k][start:stop], coords[k][c0:c1], out=diff)
             np.abs(diff, out=diff)
             np.maximum(dist, diff, out=dist)
         np.less_equal(dist, r, out=within)
-        np.add.reduce(within, axis=1, dtype=np.int64, out=counts[1, start:stop])
+        np.add.reduce(matches, axis=1, dtype=counts.dtype, out=counts[1, start:stop])
     counts[:, order] = counts.copy()
     phi_m = float(np.mean(np.log(counts[0] / t)))
     phi_m1 = float(np.mean(np.log(counts[1, : t - 1] / (t - 1))))
@@ -193,7 +198,7 @@ def _count_blocks(dist, windows, rows, size, r, mask, out) -> None:
     blocks = np.ndarray((windows, rows, size), dist.dtype, dist, 0, (s0 + s1, s0, s1))
     within = mask[: windows * rows * size].reshape(windows, rows, size)
     np.less_equal(blocks, r, out=within)
-    np.add.reduce(within, axis=2, dtype=np.int32, out=out)
+    np.add.reduce(within.view(np.uint8), axis=2, dtype=out.dtype, out=out)
 
 
 def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.ndarray:
@@ -220,7 +225,7 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
     cells = (slab + chunk - 1) * (chunk + t - 1)
     dist_buf, diff_buf = np.empty(cells), np.empty(cells)
     mask = np.empty(chunk * slab * t, dtype=bool)
-    counts = np.empty((2, chunk, t), dtype=np.int32)
+    counts = np.empty((2, chunk, t), dtype=np.min_scalar_type(t))  # as in _phi_pair
     out = np.empty(total)
     for first in range(0, total, chunk):
         b = min(chunk, total - first)

@@ -122,8 +122,12 @@ def _as_int(value, message: str, *, low=-math.inf, high=math.inf) -> int:
 
 def _freeze(obj, **dtypes) -> None:
     """Replace each named field of the frozen dataclass ``obj`` with a
-    read-only copy of the given dtype."""
+    read-only copy of the given dtype; a float64 field converts as
+    ``_as_float64`` does, naming the field."""
     for field, dtype in dtypes.items():
-        arr = np.array(getattr(obj, field), dtype=dtype)
+        value = getattr(obj, field)
+        if dtype is np.float64:
+            value = _as_float64(value, field)
+        arr = np.array(value, dtype=dtype)
         arr.setflags(write=False)
         object.__setattr__(obj, field, arr)

@@ -16,6 +16,8 @@ from __future__ import annotations
 
 import csv
 import datetime as dt
+import operator
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,11 +49,18 @@ class ReturnKind(_Choice):
 
 
 def _check_dates(dates: tuple[dt.date, ...]) -> None:
+    if all(map(operator.lt, dates, dates[1:])):
+        return
     for prev, cur in zip(dates, dates[1:]):
         if cur == prev:
             raise DuplicateDateError(f"duplicate date {cur.isoformat()}")
         if cur < prev:
             raise InvalidParameterError("dates must be strictly increasing")
+
+
+def _ordinals(dates: tuple[dt.date, ...]) -> np.ndarray:
+    """Day numbers of ``dates``; day 1, 0001-01-01, is a Monday."""
+    return np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
 
 
 @dataclass(frozen=True, eq=False)
@@ -131,54 +140,115 @@ class ReturnSeries:
 
 
 def _read_csv(path: Path, asset_id: str, *, dated: bool = False) -> PriceSeries | np.ndarray:
-    """Read a CSV in one pass: the float64 values of a bare sample, whose
-    header is one ``value`` column (unless ``dated``), or else the
-    date-sorted daily :class:`PriceSeries` of its Date and Close columns.
+    """Read a CSV: the float64 values of a bare sample, whose header is one
+    ``value`` column (unless ``dated``), or else the date-sorted daily
+    :class:`PriceSeries` of its Date and Close columns.
 
     Header names are stripped and matched case-insensitively, and when two
     match, the last is read. Blank lines are skipped. A price row whose close
     is empty, ``null`` or missing (the row ends before the Close column) is
-    dropped and counted in ``dropped_rows``. Errors name the file's line.
+    dropped and counted in ``dropped_rows``. A cell parses as Python's
+    ``float`` parses it. Errors name the file's line; a file that is not
+    UTF-8 text, or a cell longer than ``csv.field_size_limit()``, raises
+    UnparsableRowError too.
     """
-    with path.open(newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        header = [name.strip().lower() for name in next(reader, [])]
-        if header == ["value"] and not dated:
-            values = [
-                _finite_cell(row[0], path, reader.line_num, "value")
-                for row in reader
-                if row and row[0].strip()
-            ]
-            return np.array(values, dtype=np.float64)
-        column = {name: i for i, name in enumerate(header)}
-        if "date" not in column or "close" not in column:
-            raise MissingColumnError(f"{path.name}: header must contain Date and Close columns")
-        date_at, close_at = column["date"], column["close"]
-        rows: list[tuple[dt.date, float]] = []
-        dropped = 0
-        for row in reader:
-            if not row:
-                continue
-            raw_close = row[close_at].strip() if close_at < len(row) else ""
-            if raw_close == "" or raw_close.lower() == "null":
-                dropped += 1
-                continue
-            raw_date = row[date_at].strip() if date_at < len(row) else ""
-            try:
-                day = dt.date.fromisoformat(raw_date)
-            except ValueError:
-                raise UnparsableRowError(
-                    f"{path.name} row {reader.line_num}: unparsable date {raw_date!r}"
-                ) from None
-            rows.append((day, _finite_cell(raw_close, path, reader.line_num, "close")))
-    rows.sort(key=lambda item: item[0])
+    parsed = _parse_csv(path, asset_id, dated, exact=False)
+    return parsed if parsed is not None else _parse_csv(path, asset_id, dated, exact=True)
+
+
+def _parse_csv(
+    path: Path, asset_id: str, dated: bool, exact: bool
+) -> PriceSeries | np.ndarray | None:
+    """One read of the file at ``path`` for ``_read_csv``. Unless ``exact``,
+    each column is parsed in one call, and None is returned when any cell
+    fails that parse. When ``exact``, each kept row's date and then its close
+    are parsed as the row is read, so the first bad cell in the file raises,
+    naming its line."""
+    try:
+        with path.open(newline="", encoding="utf-8-sig") as fh:
+            reader = csv.reader(fh)
+            header = [name.strip().lower() for name in next(reader, [])]
+            if header == ["value"] and not dated:
+                if not exact:
+                    return _value_column(fh)
+                values = [
+                    _finite_cell(row[0], path, reader.line_num, "value")
+                    for row in reader
+                    if row and row[0].strip()
+                ]
+                return np.array(values, dtype=np.float64)
+            column = {name: i for i, name in enumerate(header)}
+            if "date" not in column or "close" not in column:
+                raise MissingColumnError(
+                    f"{path.name}: header must contain Date and Close columns"
+                )
+            date_at, close_at = column["date"], column["close"]
+            raw_dates: list[str] = []
+            raw_closes: list[str] = []
+            dropped = 0
+            for row in reader:
+                if not row:
+                    continue
+                raw_close = row[close_at].strip() if close_at < len(row) else ""
+                if raw_close == "" or raw_close.lower() == "null":
+                    dropped += 1
+                    continue
+                raw_date = row[date_at].strip() if date_at < len(row) else ""
+                if exact:
+                    try:
+                        dt.date.fromisoformat(raw_date)
+                    except ValueError:
+                        raise UnparsableRowError(
+                            f"{path.name} row {reader.line_num}: unparsable date {raw_date!r}"
+                        ) from None
+                    _finite_cell(raw_close, path, reader.line_num, "close")
+                raw_dates.append(raw_date)
+                raw_closes.append(raw_close)
+    except UnicodeDecodeError as exc:
+        raise UnparsableRowError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
+    except csv.Error as exc:
+        raise UnparsableRowError(f"{path.name} row {reader.line_num}: {exc}") from None
+    try:
+        days = list(map(dt.date.fromisoformat, raw_dates))
+        closes = np.array(list(map(float, raw_closes)), dtype=np.float64)
+    except ValueError:
+        return None
+    if not np.isfinite(closes).all():
+        return None
+    order = sorted(range(len(days)), key=days.__getitem__)
     return PriceSeries(
         asset_id,
         Frequency.DAILY,
-        tuple(day for day, _ in rows),
-        [close for _, close in rows],
+        [days[i] for i in order],
+        closes[order],
         dropped_rows=dropped,
     )
+
+
+def _value_column(fh) -> np.ndarray | None:
+    """The first column of the rest of the text file ``fh`` as float64 values,
+    parsed by numpy's C reader a batch of lines at a time, or None where that
+    parse cannot stand in for csv.reader and ``float``: a cell numpy cannot
+    parse or that is not finite, a quote (csv's quoted fields may span
+    lines), a NUL (which csv rejects before Python 3.11), or a line longer
+    than csv's field size limit. ``fh`` is opened with ``newline=""``, so its
+    lines end where csv's rows do."""
+    batches = [np.empty(0)]
+    while lines := fh.readlines(65_536):
+        text = "".join(lines)
+        if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
+            return None
+        try:
+            with warnings.catch_warnings():  # a batch of blank lines holds no data
+                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
+                batch = np.loadtxt(
+                    lines, dtype=np.float64, delimiter=",", comments=None, usecols=0, ndmin=1
+                )
+        except ValueError:
+            return None
+        batches.append(batch)
+    values = np.concatenate(batches)
+    return values if np.isfinite(values).all() else None
 
 
 def ingest_csv(path: str | Path, asset_id: str) -> PriceSeries:
@@ -210,26 +280,18 @@ def fill_weekend(series: PriceSeries) -> PriceSeries:
         raise InvalidParameterError("weekend fill applies to daily series only")
     if len(series) == 0:
         raise EmptySeriesError("cannot fill an empty series")
-    span = (series.dates[-1] - series.dates[0]).days + 1
+    days = _ordinals(series.dates)
+    span = int(days[-1] - days[0]) + 1
     if span == len(series):
         return series
-    have = dict(zip(series.dates, series.closes))
-    dates: list[dt.date] = []
-    closes: list[float] = []
-    current = series.dates[0]
-    last_close = float(series.closes[0])
-    one_day = dt.timedelta(days=1)
-    while current <= series.dates[-1]:
-        if current in have:
-            last_close = float(have[current])
-        dates.append(current)
-        closes.append(last_close)
-        current += one_day
+    # Each calendar day takes the close of the last observation on or before it.
+    latest = np.searchsorted(days, np.arange(days[0], days[-1] + 1), side="right") - 1
+    first, last = np.datetime64(series.dates[0], "D"), np.datetime64(series.dates[-1], "D")
     return PriceSeries(
         series.asset_id,
         Frequency.DAILY,
-        tuple(dates),
-        closes,
+        np.arange(first, last + 1).tolist(),
+        series.closes[latest],
         dropped_rows=series.dropped_rows,
     )
 
@@ -243,28 +305,21 @@ def resample(series: PriceSeries, target: Frequency) -> PriceSeries:
     if series.frequency is not Frequency.DAILY:
         raise InvalidParameterError("resampling starts from a daily series")
     target = Frequency(target)
-    if target is Frequency.WEEKLY:
-        def period(day: dt.date) -> tuple[int, int]:
-            iso = day.isocalendar()
-            return (iso[0], iso[1])
-    elif target is Frequency.MONTHLY:
-        def period(day: dt.date) -> tuple[int, int]:
-            return (day.year, day.month)
-    else:
+    if target not in (Frequency.WEEKLY, Frequency.MONTHLY):
         raise InvalidParameterError("resample target must be weekly or monthly")
     if len(series) == 0:
         raise EmptySeriesError("cannot resample an empty series")
-    dates: list[dt.date] = []
-    closes: list[float] = []
-    for day, close in zip(series.dates, series.closes):
-        if dates and period(dates[-1]) == period(day):
-            dates[-1] = day
-            closes[-1] = float(close)
-        else:
-            dates.append(day)
-            closes.append(float(close))
+    if target is Frequency.WEEKLY:  # an ISO week runs Monday to Sunday
+        period = (_ordinals(series.dates) - 1) // 7
+    else:
+        period = np.array([day.year * 12 + day.month for day in series.dates])
+    last = np.flatnonzero(np.append(period[1:] != period[:-1], True))
     return PriceSeries(
-        series.asset_id, target, tuple(dates), closes, dropped_rows=series.dropped_rows
+        series.asset_id,
+        target,
+        [series.dates[i] for i in last.tolist()],
+        series.closes[last],
+        dropped_rows=series.dropped_rows,
     )
 
 

@@ -92,6 +92,16 @@ class TestApen:
         assert apen(data + 3.7) == base
         assert apen(0.5 * data - 11.25) == base
 
+    @pytest.mark.parametrize("t", [255, 256])
+    def test_match_counts_past_the_uint8_range_stay_exact(self, t):
+        # With r = 1e9 every template matches every template, so each phi is
+        # ln(1) = 0 exactly; a count that wrapped at 256 would give -inf or NaN.
+        params = ApenParams(m=2, r_mode=RMode.ABSOLUTE, r_value=1e9)
+        data = np.random.default_rng(t).normal(size=t + 40)
+        assert apen(data[: t + 1], params) == 0.0
+        got = rolling(data, t + 1, "apen", apen_params=params).values
+        assert np.array_equal(got, np.zeros(40))
+
     def test_regular_vs_shuffled_ordering_across_seeds(self):
         base = apen(X)
         wins = 0
@@ -231,7 +241,7 @@ class TestBatchedRollingApen:
         n = 260
         data = _rolling_inputs(n)[name]
         params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
-        for window in (m + 2, 7, 99, 100, 129, n):
+        for window in (m + 2, 7, 99, 100, 129, 256, 257, n):
             want = rolling_apen_loop(data, window, params)
             for windows, cells in self.CHUNKINGS:
                 with monkeypatch.context() as patch:

@@ -300,6 +300,18 @@ class TestOneReader:
         assert errors[0].startswith("bad: MissingColumnError: bad.csv: ")
         assert errors == [errors[0]] * 3
 
+    @pytest.mark.parametrize(
+        "content", [b"value\n1.5\n\xff\n", b"value\n1.5,%s\n" % (b"9" * 200_000)]
+    )
+    def test_unreadable_input_fails_only_its_asset(self, tmp_path, price_file, capsys, content):
+        bad = tmp_path / "bad.csv"
+        bad.write_bytes(content)
+        out = tmp_path / "out"
+        code = main(["stats", f"bad={bad}", f"good={price_file}", "--out", str(out)])
+        assert code == EXIT_PARTIAL
+        assert capsys.readouterr().err.startswith("bad: UnparsableRowError: bad.csv")
+        assert [path.name for path in out.iterdir()] == ["good_daily_prices_stats.csv"]
+
     def test_each_input_is_opened_once(self, tmp_path, price_file, monkeypatch):
         sample = tmp_path / "sample.csv"
         sample.write_text("value\n1.5\n2.5\n3.5\n", encoding="utf-8")

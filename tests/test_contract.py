@@ -25,6 +25,7 @@ from tailscope import (
     NegativeValueError,
     PriceSeries,
     ReturnKind,
+    ReturnSeries,
     RMode,
     RollingStatistic,
     TooFewPointsError,
@@ -52,6 +53,7 @@ ARRAY_FUNCTIONS = {
     ),
     "rolling apen": (lambda v: rolling(v, 5, "apen"), 5, WindowTooLargeError, False),
     "apen": (apen, 4, TooShortError, False),
+    "ApenParams.resolve_r": (ApenParams().resolve_r, 4, TooShortError, False),
     "mean_excess": (mean_excess, 10, TooShortError, True),
     # No value lies above the threshold of an empty sample.
     "mean_excess_at": (lambda v: mean_excess_at(v, 1.5), 1, InvalidParameterError, False),
@@ -209,6 +211,16 @@ BAD_TYPE = {
         lambda: PriceSeries("x", "foo", DAYS.dates, DAYS.closes), "Frequency must be one of"
     ),
     "GeneratorSpec family": (lambda: GeneratorSpec("q", n=10, seed=1), "Family must be one of"),
+    "PriceSeries closes strings": (
+        lambda: PriceSeries("x", "daily", DAYS.dates[:1], ["a"]), "closes must be numeric"
+    ),
+    "ReturnSeries ragged values": (
+        lambda: ReturnSeries("x", "daily", "signed", DAYS.dates, [[1.0], [2.0, 3.0]]),
+        "values must be numeric",
+    ),
+    "ApenParams.resolve_r string": (
+        lambda: ApenParams().resolve_r("abc"), "values must be numeric"
+    ),
 }
 
 

@@ -1,5 +1,9 @@
+import csv
 import datetime as dt
 import math
+import random
+import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -10,6 +14,7 @@ from tailscope.errors import (
     InvalidParameterError,
     MissingColumnError,
     NonPositivePriceError,
+    TailscopeError,
     TooShortError,
     UnparsableRowError,
 )
@@ -25,12 +30,25 @@ from tailscope.series import (
 )
 
 from conftest import daily_dates
+from reference_read import read_csv as read_csv_reference
 
 D = dt.date
 
 
 def make_series(closes, start=D(2020, 1, 1), frequency=Frequency.DAILY, step=1):
     return PriceSeries("test", frequency, daily_dates(start, len(closes), step), closes)
+
+
+def gapped_series(seed):
+    """Daily prices across six new years, one of them inside ISO week 53 of
+    2020, with gaps of up to ten days."""
+    rng = random.Random(seed)
+    dates, day = [], D(2019, 12, 20)
+    while day < D(2026, 1, 10):
+        dates.append(day)
+        day += dt.timedelta(days=rng.choice((1, 1, 1, 2, 3, 10)))
+    closes = [rng.uniform(1.0, 9.0) for _ in dates]
+    return PriceSeries("x", Frequency.DAILY, dates, closes, dropped_rows=3)
 
 
 class TestIngest:
@@ -144,6 +162,187 @@ class TestIngest:
             ingest_csv(path, "a")
         assert cells == []
 
+    @pytest.mark.parametrize("header", ["value", "Date,Close"])
+    def test_non_utf8_file_is_unparsable(self, tmp_path, header):
+        path = tmp_path / "a.csv"
+        path.write_bytes(header.encode() + b"\n2020-01-01,1\xff\n")
+        with pytest.raises(UnparsableRowError, match=r"^a\.csv: not UTF-8 text \(invalid start"):
+            series_module._read_csv(path, "a")
+
+    @pytest.mark.parametrize("header, row", [("value", "1.5,{cell}"), ("Date,Close", "{cell}")])
+    def test_cell_over_the_field_size_limit_is_unparsable(self, tmp_path, header, row):
+        cell = "1" * (csv.field_size_limit() + 1)
+        path = tmp_path / "a.csv"
+        path.write_text(f"{header}\n1\n{row.format(cell=cell)}\n", encoding="utf-8")
+        with pytest.raises(UnparsableRowError, match=r"^a\.csv row 3: field larger than"):
+            series_module._read_csv(path, "a")
+
+
+# Tokens a fuzzed input file is mutated with: what csv, float and numpy's
+# text reader each treat in their own way.
+NOISE = [*"0123456789.e-_ ,\"\r\n", "\x0c", "\x00", "null", "inf", "nan", "\u0661", "\ufeff"]
+VALUE_HEADERS = ["value", " Value ", "VALUE", "\ufeffvalue", "value,"]
+PRICE_HEADERS = ["Date,Close", "date,open,close", "Close,Date", "Date,Close,Close", "Date,Open"]
+
+
+def _noisy(rng, text, rate):
+    while rng.random() < rate:
+        at = rng.randrange(len(text) + 1)
+        text = text[:at] + rng.choice(NOISE) + text[at:]
+    return text
+
+
+def _fuzz_file(rng):
+    """A small CSV of either header kind: valid cells, blank lines and the
+    three line ends, each cell and line sometimes mutated with NOISE."""
+    header = rng.choice(rng.choice((VALUE_HEADERS, PRICE_HEADERS)))
+    names = [name.strip().lower() for name in header.split(",")]
+    day = dt.date(2020, 1, 1).toordinal()
+    lines = [_noisy(rng, header, 0.05)]
+    for _ in range(rng.randrange(9)):
+        day += rng.choice((1, 1, 1, 2, 0, -1))
+        cells = []
+        for name in names:
+            if name == "date":
+                cell = dt.date.fromordinal(day).isoformat()
+            else:
+                cell = rng.choice(
+                    [repr(rng.uniform(0.5, 500.0)), str(rng.randrange(1, 999)), "1e3", ".5",
+                     " 7 ", "-2", "null", ""]
+                )
+            cells.append(_noisy(rng, cell, 0.15))
+        if rng.random() < 0.1:
+            cells = cells[: rng.randrange(len(cells) + 1)]
+        lines.append(_noisy(rng, ",".join(cells), 0.05))
+        if rng.random() < 0.1:
+            lines.append("")
+    ends = rng.choice(("\n", "\r\n", "\r"))
+    return ends.join(lines) + rng.choice((ends, ""))
+
+
+def _outcome(read, path, dated):
+    try:
+        got = read(path, "a", dated=dated)
+    except csv.Error:
+        return ("csv.Error",)
+    except TailscopeError as exc:
+        return (type(exc).__name__, str(exc))
+    if isinstance(got, np.ndarray):
+        return ("values", got.dtype.str, got.shape, got.tobytes())
+    closes = got.closes
+    return ("series", got.frequency, got.dates, closes.dtype.str, closes.tobytes(),
+            got.dropped_rows)
+
+
+class TestReaderEquivalence:
+    """series._read_csv against the cell-by-cell reference reader."""
+
+    @staticmethod
+    def _compare(path, text, dated=False):
+        """The outcome of series._read_csv on ``text``, checked against the
+        reference reader's, with every warning an error."""
+        path.write_bytes(text.encode("utf-8"))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            want = _outcome(read_csv_reference, path, dated)
+            got = _outcome(series_module._read_csv, path, dated)
+        if want == ("csv.Error",):  # the reader names the row instead
+            assert got[0] == "UnparsableRowError", text
+        else:
+            assert got == want, text
+        return got
+
+    def test_fuzzed_files_read_as_the_reference_reads_them(self, tmp_path):
+        rng = random.Random(5101)
+        kinds = {}
+        for _ in range(2500):
+            text = _fuzz_file(rng)
+            kind = self._compare(tmp_path / "a.csv", text, dated=rng.random() < 0.2)[0]
+            kinds[kind] = kinds.get(kind, 0) + 1
+        # Every kind of result occurs often enough for the comparison to count.
+        assert min(kinds.get(kind, 0) for kind in ("values", "series", "UnparsableRowError")) > 200
+
+    @pytest.mark.parametrize(
+        "text, values",
+        [
+            ("value\n", []),  # numpy warns on a file with no data rows
+            ("value\n\n\r\n", []),
+            ('value\n1,"a\n2\n3,"\n4\n', [1.0, 4.0]),  # a quoted field spans lines
+            ("value\n1\x0c2\n", None),  # a form feed ends no line
+            ("value\n1\r2\r\n3\n", [1.0, 2.0, 3.0]),
+            ("value\n1\n \n,5\n2\n", [1.0, 2.0]),  # blank first cells are skipped
+            ("value\n1\x85\n2\u2028\n", [1.0, 2.0]),  # Unicode spaces are not line ends
+            ("value\n1,\x00\n", [1.0] if sys.version_info >= (3, 11) else None),  # csv NUL rule
+            ("value\n\ufeff1\n", None),
+        ],
+    )
+    def test_value_files_where_csv_and_numpy_could_differ(self, tmp_path, text, values):
+        got = self._compare(tmp_path / "a.csv", text)
+        assert got[0] == ("values" if values is not None else "UnparsableRowError")
+        if values is not None:
+            assert series_module._read_csv(tmp_path / "a.csv", "a").tolist() == values
+
+    @pytest.mark.parametrize(
+        "tail, kind",
+        [
+            ("", "values"),
+            ('1,"x\n2"\n', "values"),
+            ("1_000\n", "values"),
+            ("\r\n\r7\n", "values"),
+            ("inf\n", "UnparsableRowError"),
+        ],
+    )
+    def test_a_file_of_many_line_batches_reads_as_the_reference(self, tmp_path, tail, kind):
+        # About 420,000 characters: the reader parses the lines in several
+        # batches, and what only the last batch holds still decides.
+        rng = random.Random(len(tail))
+        lines = [repr(rng.uniform(-1e3, 1e3)) for _ in range(20_000)]
+        text = "value\r\n" + "\r\n".join(lines) + "\r\n" + tail
+        assert self._compare(tmp_path / "a.csv", text)[0] == kind
+
+    # Spellings on which csv, float and numpy's text reader could disagree.
+    SPELLINGS = ["1_000", " 1.5 ", "\u0661\u0662", "inf", "nan", "0x10", "1d5", "1e400", ""]
+
+    @pytest.mark.parametrize("spelling", SPELLINGS)
+    def test_a_cell_parses_as_float_parses_it(self, tmp_path, spelling):
+        values, prices = tmp_path / "v.csv", tmp_path / "p.csv"
+        values.write_text(f"value\n2\n{spelling}\n", encoding="utf-8")
+        prices.write_text(f"Date,Close\n2020-01-01,2\n2020-01-02,{spelling}\n", encoding="utf-8")
+        if not spelling.strip():  # a blank value is skipped; a blank close drops its row
+            assert series_module._read_csv(values, "v").tolist() == [2.0]
+            assert ingest_csv(prices, "p").dropped_rows == 1
+            return
+        try:
+            number = float(spelling)
+        except ValueError:
+            number = None
+        if number is not None and math.isfinite(number):
+            assert series_module._read_csv(values, "v").tolist() == [2.0, number]
+            assert ingest_csv(prices, "p").closes.tolist() == [2.0, number]
+            return
+        reason = "unparsable" if number is None else "non-finite"
+        with pytest.raises(UnparsableRowError, match=f"row 3: {reason} value"):
+            series_module._read_csv(values, "v")
+        with pytest.raises(UnparsableRowError, match=f"row 3: {reason} close"):
+            ingest_csv(prices, "p")
+
+    def test_clean_files_parse_no_cell_alone(self, tmp_path, write_yahoo_csv, monkeypatch):
+        calls = []
+        finite_cell = series_module._finite_cell
+        monkeypatch.setattr(
+            series_module, "_finite_cell", lambda *args: calls.append(args) or finite_cell(*args)
+        )
+        rows = [(D(2020, 1, 1) + dt.timedelta(days=k), 100.0 + k) for k in range(50)]
+        prices = ingest_csv(write_yahoo_csv("p.csv", rows), "p")
+        values = tmp_path / "v.csv"
+        values.write_text("value\n" + "".join(f"{k / 7!r}\n" for k in range(50)))
+        assert series_module._read_csv(values, "v").tolist() == [k / 7 for k in range(50)]
+        assert len(prices) == 50 and calls == []
+        values.write_text("value\n1.5\nabc\n")
+        with pytest.raises(UnparsableRowError, match="row 3: unparsable value 'abc'"):
+            series_module._read_csv(values, "v")
+        assert len(calls) == 2
+
 
 class TestPriceSeries:
     def test_rejects_nonpositive_close(self):
@@ -187,6 +386,19 @@ class TestFillWeekend:
         series = make_series([1.0, 2.0, 3.0], step=3)
         filled = fill_weekend(series)
         assert fill_weekend(filled) == filled
+
+    def test_matches_a_day_by_day_fill(self):
+        series = gapped_series(7)
+        have = dict(zip(series.dates, series.closes.tolist()))
+        dates, closes, day = [], [], series.dates[0]
+        while day <= series.dates[-1]:
+            dates.append(day)
+            closes.append(have.get(day, closes[-1] if closes else None))
+            day += dt.timedelta(days=1)
+        filled = fill_weekend(series)
+        assert filled.dates == tuple(dates)
+        assert filled.closes.tolist() == closes
+        assert filled.dropped_rows == series.dropped_rows
 
     def test_rejects_weekly(self):
         series = make_series([1.0, 2.0], frequency=Frequency.WEEKLY, step=7)
@@ -246,6 +458,21 @@ class TestResample:
         series = make_series([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0], start=D(2023, 1, 4))
         weekly = resample(series, Frequency.WEEKLY)
         assert len(weekly) == 2
+
+    @pytest.mark.parametrize(
+        "target, period",
+        [
+            (Frequency.WEEKLY, lambda day: day.isocalendar()[:2]),
+            (Frequency.MONTHLY, lambda day: (day.year, day.month)),
+        ],
+    )
+    def test_matches_the_last_close_of_each_calendar_period(self, target, period):
+        series = gapped_series(8)
+        last = {period(day): (day, close) for day, close in zip(series.dates, series.closes)}
+        resampled = resample(series, target)
+        assert resampled.dates == tuple(day for day, _ in last.values())
+        assert resampled.closes.tolist() == [close for _, close in last.values()]
+        assert resampled.dropped_rows == series.dropped_rows
 
     def test_rejects_weekly_input(self):
         series = make_series([1.0, 2.0], frequency=Frequency.WEEKLY, step=7)
