@@ -17,7 +17,6 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import operator
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -49,6 +48,11 @@ class ReturnKind(_Choice):
 
 
 def _check_dates(dates: tuple[dt.date, ...]) -> None:
+    for day in dates:
+        if type(day) is not dt.date:  # a datetime's day is not a calendar day
+            raise InvalidParameterError(
+                f"dates must be datetime.date objects, not {type(day).__name__}"
+            )
     if all(map(operator.lt, dates, dates[1:])):
         return
     for prev, cur in zip(dates, dates[1:]):
@@ -161,22 +165,22 @@ def _parse_csv(
 ) -> PriceSeries | np.ndarray | None:
     """One read of the file at ``path`` for ``_read_csv``. Unless ``exact``,
     each column is parsed in one call, and None is returned when any cell
-    fails that parse. When ``exact``, each kept row's date and then its close
-    are parsed as the row is read, so the first bad cell in the file raises,
-    naming its line."""
+    fails that parse or the file cannot be read as CSV text. When ``exact``,
+    each kept row's date and then its close are parsed as the row is read,
+    so the first bad cell or line in the file raises, naming its line."""
     try:
         with path.open(newline="", encoding="utf-8-sig") as fh:
             reader = csv.reader(fh)
             header = [name.strip().lower() for name in next(reader, [])]
             if header == ["value"] and not dated:
-                if not exact:
-                    return _value_column(fh)
-                values = [
-                    _finite_cell(row[0], path, reader.line_num, "value")
-                    for row in reader
-                    if row and row[0].strip()
-                ]
-                return np.array(values, dtype=np.float64)
+                if exact:
+                    values = [
+                        _finite_cell(row[0], path, reader.line_num, "value")
+                        for row in reader
+                        if row and row[0].strip()
+                    ]
+                    return np.array(values, dtype=np.float64)
+                return _float_column([row[0] for row in reader if row and row[0].strip()])
             column = {name: i for i, name in enumerate(header)}
             if "date" not in column or "close" not in column:
                 raise MissingColumnError(
@@ -205,15 +209,19 @@ def _parse_csv(
                 raw_dates.append(raw_date)
                 raw_closes.append(raw_close)
     except UnicodeDecodeError as exc:
+        if not exact:
+            return None
         raise UnparsableRowError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
     except csv.Error as exc:
+        if not exact:
+            return None
         raise UnparsableRowError(f"{path.name} row {reader.line_num}: {exc}") from None
     try:
         days = list(map(dt.date.fromisoformat, raw_dates))
-        closes = np.array(list(map(float, raw_closes)), dtype=np.float64)
     except ValueError:
         return None
-    if not np.isfinite(closes).all():
+    closes = _float_column(raw_closes)
+    if closes is None:
         return None
     order = sorted(range(len(days)), key=days.__getitem__)
     return PriceSeries(
@@ -225,29 +233,13 @@ def _parse_csv(
     )
 
 
-def _value_column(fh) -> np.ndarray | None:
-    """The first column of the rest of the text file ``fh`` as float64 values,
-    parsed by numpy's C reader a batch of lines at a time, or None where that
-    parse cannot stand in for csv.reader and ``float``: a cell numpy cannot
-    parse or that is not finite, a quote (csv's quoted fields may span
-    lines), a NUL (which csv rejects before Python 3.11), or a line longer
-    than csv's field size limit. ``fh`` is opened with ``newline=""``, so its
-    lines end where csv's rows do."""
-    batches = [np.empty(0)]
-    while lines := fh.readlines(65_536):
-        text = "".join(lines)
-        if '"' in text or "\0" in text or max(map(len, lines)) > csv.field_size_limit():
-            return None
-        try:
-            with warnings.catch_warnings():  # a batch of blank lines holds no data
-                warnings.filterwarnings("ignore", "loadtxt: input contained no data", UserWarning)
-                batch = np.loadtxt(
-                    lines, dtype=np.float64, delimiter=",", comments=None, usecols=0, ndmin=1
-                )
-        except ValueError:
-            return None
-        batches.append(batch)
-    values = np.concatenate(batches)
+def _float_column(cells: list[str]) -> np.ndarray | None:
+    """``cells`` as float64 values, each parsed by ``float``, or None when
+    any cell does not parse or is not finite."""
+    try:
+        values = np.array(list(map(float, cells)), dtype=np.float64)
+    except ValueError:
+        return None
     return values if np.isfinite(values).all() else None
 
 

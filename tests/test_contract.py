@@ -218,6 +218,14 @@ BAD_TYPE = {
         lambda: ReturnSeries("x", "daily", "signed", DAYS.dates, [[1.0], [2.0, 3.0]]),
         "values must be numeric",
     ),
+    "PriceSeries string dates": (
+        lambda: PriceSeries("x", "daily", ["2020-01-01", "2020-01-03"], [1.0, 2.0]),
+        "dates must be datetime.date objects, not str",
+    ),
+    "ReturnSeries datetime dates": (
+        lambda: ReturnSeries("x", "daily", "signed", [dt.datetime(2020, 1, 1, 12)], [0.5]),
+        "dates must be datetime.date objects, not datetime",
+    ),
     "ApenParams.resolve_r string": (
         lambda: ApenParams().resolve_r("abc"), "values must be numeric"
     ),

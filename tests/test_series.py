@@ -178,8 +178,8 @@ class TestIngest:
             series_module._read_csv(path, "a")
 
 
-# Tokens a fuzzed input file is mutated with: what csv, float and numpy's
-# text reader each treat in their own way.
+# Tokens a fuzzed input file is mutated with: what csv and float each treat
+# in their own way.
 NOISE = [*"0123456789.e-_ ,\"\r\n", "\x0c", "\x00", "null", "inf", "nan", "\u0661", "\ufeff"]
 VALUE_HEADERS = ["value", " Value ", "VALUE", "\ufeffvalue", "value,"]
 PRICE_HEADERS = ["Date,Close", "date,open,close", "Close,Date", "Date,Close,Close", "Date,Open"]
@@ -265,7 +265,7 @@ class TestReaderEquivalence:
     @pytest.mark.parametrize(
         "text, values",
         [
-            ("value\n", []),  # numpy warns on a file with no data rows
+            ("value\n", []),
             ("value\n\n\r\n", []),
             ('value\n1,"a\n2\n3,"\n4\n', [1.0, 4.0]),  # a quoted field spans lines
             ("value\n1\x0c2\n", None),  # a form feed ends no line
@@ -276,31 +276,34 @@ class TestReaderEquivalence:
             ("value\n\ufeff1\n", None),
         ],
     )
-    def test_value_files_where_csv_and_numpy_could_differ(self, tmp_path, text, values):
+    def test_value_file_edge_cases_read_as_the_reference(self, tmp_path, text, values):
         got = self._compare(tmp_path / "a.csv", text)
         assert got[0] == ("values" if values is not None else "UnparsableRowError")
         if values is not None:
             assert series_module._read_csv(tmp_path / "a.csv", "a").tolist() == values
 
+    # csv raises on a cell over its field size limit only when it reaches it.
+    LONG_CELL = "9" * (csv.field_size_limit() + 1)
+
     @pytest.mark.parametrize(
-        "tail, kind",
+        "rows",
         [
-            ("", "values"),
-            ('1,"x\n2"\n', "values"),
-            ("1_000\n", "values"),
-            ("\r\n\r7\n", "values"),
-            ("inf\n", "UnparsableRowError"),
+            ["value", "1", "abc", f"1,{LONG_CELL}"],
+            ["Date,Close", "2020-01-01,1", "2020-01-02,abc", f"2020-01-03,1,{LONG_CELL}"],
         ],
     )
-    def test_a_file_of_many_line_batches_reads_as_the_reference(self, tmp_path, tail, kind):
-        # About 420,000 characters: the reader parses the lines in several
-        # batches, and what only the last batch holds still decides.
-        rng = random.Random(len(tail))
-        lines = [repr(rng.uniform(-1e3, 1e3)) for _ in range(20_000)]
-        text = "value\r\n" + "\r\n".join(lines) + "\r\n" + tail
-        assert self._compare(tmp_path / "a.csv", text)[0] == kind
+    def test_a_bad_cell_is_named_before_a_later_unreadable_line(self, tmp_path, rows):
+        got = self._compare(tmp_path / "a.csv", "\n".join(rows) + "\n")
+        assert got[0] == "UnparsableRowError" and "row 3: unparsable" in got[1]
 
-    # Spellings on which csv, float and numpy's text reader could disagree.
+    def test_a_bad_cell_is_named_before_a_later_non_utf8_byte(self, tmp_path):
+        # The byte lies past the first block of text that is decoded.
+        path = tmp_path / "a.csv"
+        path.write_bytes(b"value\n1\nabc\n" + b"2\n" * 10_000 + b"\xff\n")
+        with pytest.raises(UnparsableRowError, match=r"^a\.csv row 3: unparsable value 'abc'$"):
+            series_module._read_csv(path, "a")
+
+    # Spellings that float parses in its own way.
     SPELLINGS = ["1_000", " 1.5 ", "\u0661\u0662", "inf", "nan", "0x10", "1d5", "1e400", ""]
 
     @pytest.mark.parametrize("spelling", SPELLINGS)
