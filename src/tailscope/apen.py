@@ -23,7 +23,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, ZeroToleranceError, _as_finite_array, _as_int, _Choice
+from .errors import (
+    InvalidParameterError, ZeroToleranceError, _as_finite_array, _as_int, _Choice, _from_unit_scale,
+    _unit_scale,
+)
 
 # Distance blocks hold _BLOCK_ROWS sorted templates at a time and never more
 # than _CHUNK_CELLS float64 cells (~32 MB), whatever N is. A block of sorted
@@ -70,29 +73,31 @@ class ApenParams:
     def resolve_r(self, values) -> float:
         """Tolerance in data units for the given window, which takes the
         input contract of ``apen`` (``_as_finite_array`` with ``min_length``)."""
-        arr = _as_finite_array(values, min_n=self.min_length)
-        return float(self.tolerances(1, lambda: arr.std(ddof=1, keepdims=True))[0])
+        unit, e = _unit_scale(_as_finite_array(values, min_n=self.min_length))
+        x, k = self._split(e, lambda: unit.std(ddof=1))
+        return float(_from_unit_scale(x, k + e, "the resolved tolerance"))
 
-    def tolerances(self, count: int, window_sd) -> np.ndarray:
-        """Tolerance in data units of each of ``count`` windows, in window order:
-        r_value, or in relative mode r_value times the window SDs ``window_sd()``
-        returns. The first relative tolerance that is zero raises
-        ZeroToleranceError, and the first that is not finite (its SD overflows
-        float64) raises InvalidParameterError.
+    def tolerances(self, count: int, e: int, window_sd) -> np.ndarray:
+        """Tolerance of each of ``count`` windows on the unit scale 2**e of
+        their series (``errors._unit_scale``), in window order: r_value / 2**e,
+        or in relative mode r_value times the unit-scale window SDs that
+        ``window_sd()`` returns, capped at 2.0, which no Chebyshev distance on
+        that scale reaches. A zero relative tolerance raises ZeroToleranceError.
         """
+        x, k = self._split(e, window_sd)
+        # x * 2**k capped at 2, with k first lowered so that ldexp stays below 4.
+        capped = np.minimum(np.ldexp(x, np.minimum(k, 2 - np.frexp(x)[1])), 2.0)
+        return np.broadcast_to(capped, count)
+
+    def _split(self, e: int, window_sd):
+        """``(x, k)``, tolerances x * 2**k on the unit scale 2**e, with no overflow."""
+        mantissa, exponent = np.frexp(self.r_value)
         if self.r_mode is RMode.ABSOLUTE:
-            return np.full(count, self.r_value)
-        with np.errstate(over="ignore", invalid="ignore"):
-            r = self.r_value * window_sd()
-        bad = np.flatnonzero(~((r > 0.0) & (r < np.inf)))
-        if bad.size:
-            if np.isfinite(r[bad[0]]):
-                raise ZeroToleranceError("relative tolerance resolves to zero on a constant window")
-            raise InvalidParameterError(
-                "relative tolerance is not finite: the window's standard deviation "
-                "overflows float64"
-            )
-        return r
+            return mantissa, exponent - e
+        x = mantissa * window_sd()
+        if not np.all(x):
+            raise ZeroToleranceError("relative tolerance resolves to zero on a constant window")
+        return x, exponent
 
 
 def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
@@ -115,10 +120,7 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     first = coords[0]
     # A few ulps of slack keep every pair whose rounded |u_i - u_j| <= r
     # inside the band; the exact check below decides each pair.
-    reach = max(-float(first[0]), float(first[-1]))
-    pad = r + 4.0 * _EPS * (reach + r)
-    if reach + pad == np.inf:  # a bound would overflow: search everything
-        pad = np.inf
+    pad = r + 4.0 * _EPS * (1.0 + r)  # on the unit scale no value reaches 1
     lo = np.searchsorted(first, first - pad, side="left")
     hi = np.searchsorted(first, first + pad, side="right")
     rows = t if t < 2 * _BLOCK_ROWS else max(1, min(_BLOCK_ROWS, _CHUNK_CELLS // t))
@@ -178,11 +180,12 @@ def apen(values, params: ApenParams | None = None) -> float:
         O(N log N) plus O(N * (band + 64) * m) time, where band is the
         number of templates whose first coordinate lies within r,
         and bounded memory. The result is bit-identical to a dense N x N
-        count.
+        count, and the same at every power-of-two scale of the input.
     """
     p = params if params is not None else ApenParams()
-    arr = _as_finite_array(values, min_n=p.min_length)
-    phi_m, phi_m1 = _phi_pair(arr, p.m, p.resolve_r(arr))
+    unit, e = _unit_scale(_as_finite_array(values, min_n=p.min_length))
+    r = p.tolerances(1, e, lambda: unit.std(ddof=1))[0]
+    phi_m, phi_m1 = _phi_pair(unit, p.m, float(r))
     return phi_m - phi_m1
 
 

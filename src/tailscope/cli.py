@@ -248,7 +248,6 @@ def _report(args) -> int:
             row["apen"] = apen(values, args.apen_params)
         except (TooShortError, ZeroToleranceError):
             row["apen"] = None
-        _check_finite({column: [row[column]] for column in table})
         for column, cells in table.items():
             cells.append(row[column])
 
@@ -334,7 +333,7 @@ def _rolling(args, asset: str, path: Path) -> None:
 
 def _synth(args) -> int:
     name = (args.label or args.spec.family.value, "na", "values", "synth")
-    print(_emit(args, name, {"value": generate(args.spec)}))
+    print(_emit(args, name, {"value": args.sample}))
     return EXIT_OK
 
 
@@ -374,20 +373,12 @@ def _seed(flag: int | None) -> int:
 def _resolve(args: argparse.Namespace) -> None:
     """Turn the parsed flags into the values the subcommands use, in place,
     then create --out. Raises ConfigError, or InvalidParameterError from the
-    library constructors that validate the parameters."""
+    library constructors and ``generate``, which check the parameters."""
     if args.command == "synth":
-        args.spec = GeneratorSpec(
-            family=args.family,
-            n=args.n,
-            seed=_seed(args.seed),
-            mu=args.mu,
-            sigma=args.sigma,
-            lam=args.lam,
-            xi=args.xi,
-            beta=args.beta,
-            alpha=args.alpha,
-            x_min=args.x_min,
-        )
+        params = ("mu", "sigma", "lam", "xi", "beta", "alpha", "x_min")
+        args.spec = GeneratorSpec(args.family, args.n, _seed(args.seed),
+                                  **{name: getattr(args, name) for name in params})
+        args.sample = generate(args.spec)
     else:
         args.inputs = _parse_inputs(args.inputs)
         args.frequency = Frequency(args.frequency)

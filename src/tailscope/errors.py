@@ -99,6 +99,21 @@ def _as_finite_array(
     return arr
 
 
+def _unit_scale(arr: np.ndarray) -> tuple[np.ndarray, int]:
+    """``(arr * 2**-e, e)`` with max|arr| < 2**e <= 2 * max|arr| (e = 0 for all
+    zeros). The scale is exact while nothing goes subnormal, and no sum, square
+    or fourth power of the scaled values can overflow."""
+    e = int(np.frexp(np.abs(arr).max())[1])
+    return np.ldexp(arr, -e), e
+
+
+def _from_unit_scale(value, e: int, name: str):
+    """``value * 2**e``, or InvalidParameterError when that is beyond float64."""
+    if (np.frexp(value)[1] + e > 1024).any():
+        raise InvalidParameterError(f"{name} exceeds the float64 range")
+    return np.ldexp(value, e)
+
+
 def _finite_cell(raw: str, path, number: int, what: str) -> float:
     """The ``what`` cell of row ``number`` of the CSV file at ``path`` as a
     finite float; anything else raises UnparsableRowError naming the row."""

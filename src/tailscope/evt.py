@@ -34,6 +34,8 @@ from .errors import (
     _as_int,
     _Choice,
     _freeze,
+    _from_unit_scale,
+    _unit_scale,
 )
 
 # Shape classifier: normalized-slope band and convexity vote share.
@@ -107,38 +109,29 @@ def fitted_slope(curve: MefCurve) -> float:
     """
     if len(curve) < 2:
         raise TooFewPointsError("slope fit needs at least 2 points")
-    weights = curve.exceedances.astype(np.float64)
-    return _slope(curve.thresholds, curve.mean_excess, weights)
+    return _slope(curve.thresholds, curve.mean_excess, curve.exceedances.astype(np.float64))[0]
 
 
-def _slope(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> float:
-    """Least-squares slope of y on x, weighted by w.
-
-    np.polyfit scales the columns of its design matrix by their norms, which
-    overflow for values beyond about 1e154 and underflow to zero below about
-    1e-154, leaving a meaningless fit or a LAPACK error. Only then are x and y
-    divided by their own powers of two and the slope multiplied back by the
-    exact ratio, so every fit that succeeds directly keeps its bits.
-    """
-    try:
-        with np.errstate(over="raise", divide="raise", invalid="raise"):
-            return float(np.polyfit(x, y, 1, w=w)[0])
-    except FloatingPointError:
-        ex = np.frexp(np.abs(x).max())[1]
-        ey = np.frexp(np.abs(y).max())[1]
-        slope = np.polyfit(np.ldexp(x, -ex), np.ldexp(y, -ey), 1, w=w)[0]
-        return float(np.ldexp(slope, ey - ex))
+def _slope(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> tuple[float, int]:
+    """Least-squares slope of y on x, weighted by w, and the rank of the fit,
+    below 2 when x is equal to within rounding. The fit runs on the unit
+    scales of x and y, where np.polyfit's column norms cannot overflow or
+    vanish, and the slope is multiplied back by 2**(ey - ex)."""
+    (unit_x, ex), (unit_y, ey) = _unit_scale(x), _unit_scale(y)
+    coef, _, rank, _, _ = np.polyfit(unit_x, unit_y, 1, w=w, full=True)
+    return float(_from_unit_scale(coef[0], ey - ex, "the slope")), int(rank)
 
 
 def mean_excess_at(values, threshold: float) -> float:
     """Average overshoot above a finite ``threshold`` in finite ``values``:
-    sum(x - a for x > a) / count."""
+    sum(x - a for x > a) / count, on the unit scale of those x and a."""
     arr = _as_finite_array(values)
     a = _as_finite_array(threshold, name="threshold", ndim=0)
     over = arr[arr > a]
     if over.size == 0:
         raise InvalidParameterError(f"no observations above threshold {threshold!r}")
-    return float((over - a).sum() / over.size)
+    unit, e = _unit_scale(np.append(over, a))
+    return float(_from_unit_scale((unit[:-1] - unit[-1]).sum() / over.size, e, "the mean excess"))
 
 
 def mean_excess(values, trim_fraction: float = 0.02) -> MefCurve:
@@ -162,15 +155,14 @@ def mean_excess(values, trim_fraction: float = 0.02) -> MefCurve:
     thresholds = thresholds[thresholds < sorted_vals[-1]]
     if thresholds.size == 0:
         raise TooFewPointsError("no thresholds strictly below the sample maximum")
-    # Suffix sums over the sorted sample give every threshold in O(n log n).
+    # Suffix sums over the sorted sample, on its unit scale so that they cannot
+    # overflow, give every threshold in O(n log n).
     first_above = np.searchsorted(sorted_vals, thresholds, side="right")
     counts = n - first_above
-    with np.errstate(over="ignore", invalid="ignore"):
-        suffix = np.cumsum(sorted_vals[::-1])[::-1]
-        excess = suffix[first_above] - thresholds * counts
-        me = excess / counts
-    if not np.isfinite(me).all():
-        raise InvalidParameterError("suffix sums overflow float64; mean excess is not finite")
+    unit, e = _unit_scale(sorted_vals)
+    suffix = np.cumsum(unit[::-1])[::-1]
+    excess = (suffix[first_above] - np.ldexp(thresholds, -e) * counts) / counts
+    me = _from_unit_scale(excess, e, "the mean excess")
     try:
         shape = classify_shape(thresholds, me)
     except TooFewPointsError:
@@ -200,13 +192,14 @@ def classify_shape(thresholds, mean_excess_values) -> MefShape:
         raise TooFewPointsError(f"shape classification needs >= 5 points, got {a.size}")
     _as_finite_array(a, name="thresholds")
     _as_finite_array(me, name="mean-excess values")
-    if (np.diff(a) <= 0).any():
+    if (a[1:] <= a[:-1]).any():
         raise InvalidParameterError("thresholds must be strictly increasing")
-    slope = _slope(a, me)
+    a, me = _unit_scale(a)[0], _unit_scale(me)[0]  # sigma and the vote are scale-free
+    slope, rank = _slope(a, me)
     scale = float(me.mean())
     span = float(a[-1] - a[0])
     sigma = slope * span / scale if scale != 0.0 else float("nan")
-    if not np.isfinite(sigma):
+    if rank < 2 or not np.isfinite(sigma):
         return MefShape.UNCLASSIFIED
     if abs(sigma) < SLOPE_THRESHOLD:
         return MefShape.CONSTANT
@@ -245,20 +238,10 @@ def max_to_sum(values, p: int) -> MaxSumTrace:
     arr = _as_finite_array(values, min_n=2, non_negative=True)
     if not (arr > 0.0).any():
         raise AllZeroError("all values are zero")
-    with np.errstate(over="ignore"):
-        powered = arr**p
-        running_sum = np.cumsum(powered)
-    if not np.isfinite(running_sum[-1]):
-        raise InvalidParameterError(
-            f"order p={p} overflows float64: the running sum of x**{p} is not finite"
-        )
-    running_max = np.maximum.accumulate(powered)
-    ratios = np.divide(
-        running_max,
-        running_sum,
-        out=np.ones_like(running_sum),
-        where=running_sum > 0.0,
-    )
+    powered = _unit_scale(arr)[0] ** p  # the ratios are scale-free; this cannot overflow
+    running_sum = np.cumsum(powered)
+    ratios = np.divide(np.maximum.accumulate(powered), running_sum,
+                       out=np.ones_like(running_sum), where=running_sum > 0.0)
     final = float(ratios[-1])
     decile = float(ratios[-max(1, arr.size // 10) :].mean())
     if final < FINAL_CONVERGING and decile < DECILE_CONVERGING:

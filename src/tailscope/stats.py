@@ -17,16 +17,15 @@ from .errors import (
     _as_int,
     _Choice,
     _freeze,
+    _from_unit_scale,
+    _unit_scale,
 )
 
-# Below this magnitude the mean is treated as zero and CV flagged undefined.
+# Below this |mean| on the unit scale (errors._unit_scale) CV is undefined.
 _CV_MEAN_FLOOR = 1e-12
 # Rolling SD reduces blocks of windows of at most this many cells, so its
 # temporaries stay near 512 KB whatever the series length.
 _ROLLING_BLOCK_CELLS = 65_536
-# Below this max|dev| the fourth powers of the deviations leave the normal
-# float64 range (2**-1022), so kurtosis is taken on rescaled deviations.
-_QUARTIC_FLOOR = 2.0**-255
 
 
 class RollingStatistic(_Choice):
@@ -42,43 +41,33 @@ class StatsSummary:
     n: int
     mean: float
     std_dev: float
-    coeff_variation: float | None  # None when |mean| < 1e-12
+    coeff_variation: float | None  # None when |mean| < 1e-12 * 2**e, max|x| < 2**e <= 2 max|x|
     excess_kurtosis: float | None  # None when n < 4 or the sample is constant
 
 
 def _excess_kurtosis(arr: np.ndarray) -> float:
     # Sample-adjusted Fisher-Pearson estimator; 0 for a normal population.
+    # Scale-free, so taken on the deviations' own unit scale.
     n = arr.size
-    if n < 4:
+    dev = _unit_scale(arr - arr.mean())[0]
+    if n < 4 or not dev.any():
         return float("nan")
-    dev = arr - arr.mean()
-    peak = np.abs(dev).max()
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        quartic = _quartic_ratio(dev) if peak >= _QUARTIC_FLOOR else np.nan
-        if not np.isfinite(quartic):
-            # Kurtosis is scale-invariant, so moments that overflow, go
-            # subnormal or whose square vanishes are taken again on
-            # dev / max|dev|; a constant sample stays NaN.
-            quartic = _quartic_ratio(dev / peak)
+    s2 = (dev**2).sum() / (n - 1)
+    quartic = float((dev**4).sum() / (s2 * s2))
     adjust = 3.0 * (n - 1) ** 2 / ((n - 2) * (n - 3))
     return n * (n + 1) / ((n - 1) * (n - 2) * (n - 3)) * quartic - adjust
 
 
-def _quartic_ratio(dev: np.ndarray) -> float:
-    s2 = (dev**2).sum() / (dev.size - 1)
-    return float((dev**4).sum() / (s2 * s2))
-
-
 def summarize(values) -> StatsSummary:
     """Mean, sample SD, coefficient of variation, and excess kurtosis."""
-    arr = _as_finite_array(values, min_n=2)
-    mean, sd = arr.mean(), arr.std(ddof=1)
+    unit, e = _unit_scale(_as_finite_array(values, min_n=2))
+    mean, sd = unit.mean(), unit.std(ddof=1)
     cv = sd / mean if abs(mean) >= _CV_MEAN_FLOOR else np.nan
-    kurt = _excess_kurtosis(arr)
+    kurt = _excess_kurtosis(unit)
     return StatsSummary(
-        n=int(arr.size),
-        mean=float(mean),
-        std_dev=float(sd),
+        n=int(unit.size),
+        mean=float(_from_unit_scale(mean, e, "the mean")),
+        std_dev=float(_from_unit_scale(sd, e, "the standard deviation")),
         coeff_variation=None if np.isnan(cv) else float(cv),
         excess_kurtosis=None if np.isnan(kurt) else kurt,
     )
@@ -115,11 +104,13 @@ def rolling(
     """Apply ``statistic`` to every contiguous window of exactly ``window``
     observations, producing n - window + 1 points dated at window ends.
 
-    Windows that leave a coefficient of variation undefined (mean within
-    1e-12 of zero) yield NaN so point count stays n - window + 1. SD and CV
-    reduce blocks of windows over a sliding-window view, and ApEn counts the
-    matches of a chunk of windows at once (see ``apen._rolling_apen``); every
-    value is bit-identical to the statistic of its window alone.
+    Every statistic is taken on the series' one unit scale 2**e
+    (``errors._unit_scale``). Windows that leave a coefficient of variation
+    undefined (mean within 1e-12 * 2**e of zero) yield NaN so point count
+    stays n - window + 1. SD and CV reduce blocks of windows over a
+    sliding-window view, and ApEn counts the matches of a chunk of windows at
+    once (see ``apen._rolling_apen``); every value is bit-identical to the
+    statistic of its window alone on that scale.
     """
     arr = _as_float64(values)
     stat = RollingStatistic(statistic)
@@ -128,12 +119,11 @@ def rolling(
     params = apen_params if apen_params is not None else ApenParams()
     minimum = params.min_length if stat is RollingStatistic.APEN else 2
     if window < minimum:
-        raise WindowTooSmallError(
-            f"window {window} is below the minimum {minimum} for {stat.value}"
-        )
+        message = f"window {window} is below the minimum {minimum} for {stat.value}"
+        raise WindowTooSmallError(message)
     if window > n and arr.ndim == 1:  # other shapes fail the dimension rule below
         raise WindowTooLargeError(f"window {window} exceeds series length {n}")
-    _as_finite_array(arr)
+    unit, e = _unit_scale(_as_finite_array(arr))
     if dates is not None:
         labels = tuple(dates)
         if len(labels) != n:
@@ -142,14 +132,14 @@ def rolling(
     else:
         labels = tuple(range(window - 1, n))
     if stat is RollingStatistic.APEN:
-        r = params.tolerances(n - window + 1, lambda: _rolling_sd(arr, window))
-        out = _rolling_apen(arr, window, params.m, r)
+        r = params.tolerances(n - window + 1, e, lambda: _rolling_sd(unit, window))
+        out = _rolling_apen(unit, window, params.m, r)
+    elif stat is RollingStatistic.STD_DEV:
+        out = _from_unit_scale(_rolling_sd(unit, window), e, "the standard deviation")
     else:
-        out = _rolling_sd(arr, window)
-        if stat is RollingStatistic.COEFF_VARIATION:
-            mean = sliding_window_view(arr, window).mean(axis=1)
-            defined = np.abs(mean) >= _CV_MEAN_FLOOR
-            out = np.divide(out, mean, out=np.full_like(out, np.nan), where=defined)
+        mean = sliding_window_view(unit, window).mean(axis=1)
+        out = np.divide(_rolling_sd(unit, window), mean, out=np.full_like(mean, np.nan),
+                        where=np.abs(mean) >= _CV_MEAN_FLOOR)
     return RollingSeries(stat, window, labels, out)
 
 

@@ -24,6 +24,7 @@ exponential(lam=1) bit for bit under the same seed.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -81,24 +82,40 @@ class GeneratorSpec:
 
 def generate(spec: GeneratorSpec) -> np.ndarray:
     """Draw ``spec.n`` independent samples; see the module docstring for the
-    exact stream and quantile formulas."""
+    exact stream and quantile formulas. Parameters under which a draw would
+    exceed float64 raise InvalidParameterError, and no warning."""
     rng = np.random.Generator(np.random.PCG64(spec.seed))
     u = rng.random(spec.n)
-    while True:
-        zero = u == 0.0
-        if not zero.any():
-            break
+    while (zero := u == 0.0).any():
         u[zero] = rng.random(int(zero.sum()))
     if spec.family in (Family.GAUSSIAN, Family.LOGNORMAL):
         from scipy.special import ndtri  # deferred: scipy costs more to import than numpy
 
-        z = spec.mu + spec.sigma * ndtri(u)
-        return z if spec.family is Family.GAUSSIAN else np.exp(z)
-    e = -np.log1p(-u)
+        t = ndtri(u)
+    else:
+        t = -np.log1p(-u)
+    # Each draw and each step to it grow with t, so a draw overflows only if one at an end
+    # of t does; those two are drawn first in Python floats, which overflow without a warning.
+    exp, expm1 = _bounded(math.exp), _bounded(math.expm1)
+    if not all(math.isfinite(_draw(spec, float(end), exp, expm1)) for end in (t.min(), t.max())):
+        raise InvalidParameterError(f"{spec.family.value} draws exceed the float64 range")
+    return _draw(spec, t, np.exp, np.expm1)
+
+
+def _bounded(fn):
+    """``fn`` on one float: inf where its argument is not finite or its result is."""
+    return lambda x: fn(x) if -math.inf < x <= math.log(np.finfo(np.float64).max) else math.inf
+
+
+def _draw(spec: GeneratorSpec, t, exp, expm1):
+    """The draws at ``t`` (ndtri(u) or e) by the module's formulas."""
+    if spec.family in (Family.GAUSSIAN, Family.LOGNORMAL):
+        z = spec.mu + spec.sigma * t
+        return z if spec.family is Family.GAUSSIAN else exp(z)
     if spec.family is Family.EXPONENTIAL:
-        return e / spec.lam
+        return t / spec.lam
     if spec.family is Family.GPD:
         if spec.xi == 0.0:
-            return spec.beta * e
-        return (spec.beta / spec.xi) * np.expm1(spec.xi * e)
-    return spec.x_min * np.exp(e / spec.alpha)
+            return spec.beta * t
+        return (spec.beta / spec.xi) * expm1(spec.xi * t)
+    return spec.x_min * exp(t / spec.alpha)

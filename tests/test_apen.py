@@ -261,32 +261,33 @@ class TestBatchedRollingApen:
             rolling_apen_loop(data, 100)
 
     def test_first_failing_window_decides_the_error(self):
-        # One window is constant and another's SD overflows; the window that
-        # comes first decides, as it would for apen on each window in turn.
+        # One window is constant and another's values are huge. Huge values
+        # are taken on their unit scale, so only the constant window fails,
+        # in either order, as it would for apen on each window in turn.
         rng = np.random.default_rng(13)
         constant, huge = np.full(20, 2.0), 1e160 * rng.normal(size=20)
-        for data, error in (
-            (np.concatenate((constant, huge)), ZeroToleranceError),
-            (np.concatenate((huge, constant)), InvalidParameterError),
-        ):
-            with pytest.raises(error):
+        for data in (np.concatenate((constant, huge)), np.concatenate((huge, constant))):
+            with pytest.raises(ZeroToleranceError, match="constant window"):
                 rolling(data, 10, "apen")
-            with pytest.raises(error):
+            with pytest.raises(ZeroToleranceError, match="constant window"):
                 rolling_apen_loop(data, 10)
 
 
 class TestToleranceOverflow:
-    """A window whose SD overflows float64 is an invalid input, not a constant one."""
+    """A window whose squares overflow float64 is taken on its unit scale:
+    its ApEn is that of the same values divided by a power of two."""
 
-    def test_apen_raises_invalid_parameter(self):
+    def test_apen_equals_its_unit_scale_value(self):
         data = 1e160 * np.random.default_rng(50).normal(size=50)
-        with pytest.raises(InvalidParameterError, match="overflows float64"):
-            apen(data)
+        e = np.frexp(np.abs(data).max())[1]
+        assert apen(data) == apen(np.ldexp(data, -e))
 
-    def test_rolling_apen_raises_invalid_parameter(self):
+    def test_rolling_apen_equals_its_unit_scale_values(self):
         data = 1e160 * np.random.default_rng(51).normal(size=150)
-        with pytest.raises(InvalidParameterError, match="overflows float64"):
-            rolling(data, 100, "apen")
+        e = np.frexp(np.abs(data).max())[1]
+        assert np.array_equal(
+            rolling(data, 100, "apen").values, rolling(np.ldexp(data, -e), 100, "apen").values
+        )
 
     def test_absolute_tolerance_needs_no_sd(self):
         data = 1e160 * np.random.default_rng(52).normal(size=60)

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from tailscope.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
+from tailscope.evt import max_to_sum
 from tailscope.series import fill_weekend, ingest_csv
 from tailscope.stats import summarize
 
@@ -216,6 +217,18 @@ class TestConfigErrors:
         )
         assert code == EXIT_CONFIG
 
+    @pytest.mark.parametrize("flags", [
+        ["--family", "pareto", "--alpha", "0.001"],
+        ["--family", "gaussian", "--mu", "1e308", "--sigma", "1e308"],
+        ["--family", "exponential", "--lam", "1e-308"],
+        ["--family", "lognormal", "--sigma", "400"],
+    ], ids=lambda flags: flags[1])
+    def test_synth_beyond_float64_exits_two_and_writes_nothing(self, tmp_path, capsys, flags):
+        out = tmp_path / "out"
+        assert main(["synth", *flags, "--n", "50", "--seed", "0", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err.startswith(f"error: {flags[1]} draws exceed the float64")
+        assert not out.exists()
+
     def test_bad_format_exits_two(self, tmp_path, price_file):
         with pytest.raises(SystemExit) as info:
             main(["stats", f"btc={price_file}", "--format", "xml"])
@@ -330,17 +343,22 @@ class TestOneReader:
 
 
 class TestOverflow:
-    def test_maxsum_overflow_fails_asset_without_nan(self, tmp_path, capsys):
+    def test_maxsum_overflow_writes_the_unit_scale_ratios(self, tmp_path, capsys):
+        # x**4 overflows float64 here; the file holds the ratios of the values
+        # on their unit scale, which are finite.
         values = np.random.default_rng(80).uniform(1e80, 2e80, 50)
         path = tmp_path / "big.csv"
         path.write_text("value\n" + "".join(f"{float(v)!r}\n" for v in values), encoding="utf-8")
         out = tmp_path / "out"
         argv = ["maxsum", f"big={path}", "--p", "4", "--format", "json", "--out", str(out)]
-        assert main(argv) == EXIT_PARTIAL
-        err = capsys.readouterr().err
-        assert err.startswith("big: InvalidParameterError")
-        assert "p=4" in err
-        assert not any("NaN" in f.read_text(encoding="utf-8") for f in out.iterdir())
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out / "big_na_values_maxsum.json").read_text(encoding="utf-8"),
+                         parse_constant=reject_constant)
+        want = max_to_sum(np.ldexp(values, -np.frexp(values.max())[1]), 4)
+        assert doc["traces"] == [
+            {"p": 4, "verdict": want.verdict.value, "ratios": want.ratios.tolist()}
+        ]
 
     def test_mef_near_float_min_does_not_stop_later_assets(self, tmp_path):
         values = np.random.default_rng(0).uniform(1.0, 2.0, 50)
@@ -368,17 +386,18 @@ def write_values(path, values):
 
 
 class TestStrictOutput:
-    """A statistic that overflows to ±inf fails its asset before any file is
-    written; the other assets of the call still get theirs."""
+    """A statistic whose true value exceeds float64 fails its asset before
+    any file is written; the other assets of the call still get theirs."""
 
     @pytest.fixture
     def inputs(self, tmp_path):
         rng = np.random.default_rng(160)
-        big = write_values(tmp_path / "big.csv", 1e160 * rng.normal(size=50))
+        # The SD of n alternating +-1.79e308 is 1.79e308 * sqrt(n / (n - 1)),
+        # beyond float64 for n = 50 and for every window of 10.
+        big = write_values(tmp_path / "big.csv", np.resize([1.79e308, -1.79e308], 50))
         good = write_values(tmp_path / "good.csv", rng.normal(size=50))
         return [f"big={big}", f"good={good}"]
 
-    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     @pytest.mark.parametrize("command, column", [
         (["stats"], "std_dev"),
@@ -391,7 +410,9 @@ class TestStrictOutput:
         argv = [command[0], *inputs, *command[1:], "--format", fmt, "--out", str(out)]
         assert main(argv) == EXIT_PARTIAL
         captured = capsys.readouterr()
-        assert captured.err.startswith(f"big: InvalidParameterError: column '{column}'")
+        assert captured.err == (
+            "big: InvalidParameterError: the standard deviation exceeds the float64 range\n"
+        )
         written = [path.name for path in out.iterdir()]
         if command[0] == "report":
             assert written == [f"report_daily.{fmt}"]
@@ -399,6 +420,7 @@ class TestStrictOutput:
         else:
             assert written == [f"good_na_values_{command[0]}.{fmt}"]
         text = (out / written[0]).read_text(encoding="utf-8")
+        assert column in text
         assert "inf" not in (text + captured.out).lower()
         if fmt == "json":
             json.loads(text, parse_constant=reject_constant)

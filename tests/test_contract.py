@@ -24,6 +24,7 @@ from tailscope import (
     MefShape,
     NegativeValueError,
     PriceSeries,
+    TailscopeError,
     ReturnKind,
     ReturnSeries,
     RMode,
@@ -34,6 +35,7 @@ from tailscope import (
     WindowTooLargeError,
     apen,
     classify_shape,
+    fitted_slope,
     max_to_sum,
     mean_excess,
     mean_excess_at,
@@ -256,3 +258,57 @@ def test_unknown_choice_names_the_choices(enum):
         enum("no such choice")
     assert all(member.value in str(raised.value) for member in enum)
     assert all(enum(member.value) is member for member in enum)
+
+
+_RNG = np.random.default_rng(1000)
+_NORMAL, _UNIFORM = _RNG.normal(size=60), _RNG.uniform(1.0, 2.0, 60)
+
+# name: an input at an extreme of float64. Functions that need values >= 0
+# take their absolute values.
+EXTREME_INPUTS = {
+    "normal * 2**1000": np.ldexp(_NORMAL, 1000),
+    "normal * 2**-1000": np.ldexp(_NORMAL, -1000),
+    "uniform(1, 2) * 2**1000": np.ldexp(_UNIFORM, 1000),
+    "uniform(1, 2) * 2**-1000": np.ldexp(_UNIFORM, -1000),
+    "+-1.7e308 alternating": np.resize([1.7e308, -1.7e308], 60),
+    "up to 1.7e308": np.linspace(1e307, 1.7e308, 60),
+    "subnormals": _RNG.integers(1, 2**20, 60) * 5e-324,
+    "1e300 dynamic range": _RNG.choice([-1.0, 1.0], 60) * 10.0 ** _RNG.uniform(-150, 150, 60),
+}
+
+
+def _curve_points(v):
+    a = np.unique(v)
+    return a, np.abs(a[::-1])
+
+
+# name: a public call on an extreme input, and its result as an array of
+# the floats it holds, which must be finite (rolling CV may be NaN).
+EXTREME_CALLS = {
+    "summarize": lambda v: [x for x in vars(summarize(v)).values() if x is not None],
+    "rolling std_dev": lambda v: rolling(v, 20, "std_dev").values,
+    "rolling coeff_variation": lambda v: rolling(v, 20, "coeff_variation").values,
+    "rolling apen": lambda v: rolling(v, 20, "apen").values,
+    "apen relative": lambda v: apen(v),
+    "apen absolute r=1": lambda v: apen(v, ApenParams(r_mode="absolute", r_value=1.0)),
+    "ApenParams.resolve_r": lambda v: ApenParams().resolve_r(v),
+    "mean_excess": lambda v: mean_excess(np.abs(v)).mean_excess,
+    "mean_excess_at": lambda v: mean_excess_at(v, float(np.sort(v)[v.size // 2])),
+    "classify_shape": lambda v: [classify_shape(*_curve_points(v)) is not None],
+    "fitted_slope": lambda v: fitted_slope(mean_excess(np.abs(v))),
+    "max_to_sum p=4": lambda v: max_to_sum(np.abs(v), 4).ratios,
+}
+
+
+@pytest.mark.parametrize("values", EXTREME_INPUTS)
+@pytest.mark.parametrize("call", EXTREME_CALLS)
+def test_extreme_inputs_give_a_finite_answer_or_a_tailscope_error(call, values):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            got = np.asarray(EXTREME_CALLS[call](EXTREME_INPUTS[values].copy()), dtype=np.float64)
+        except TailscopeError:
+            return
+    if call == "rolling coeff_variation":
+        got = got[~np.isnan(got)]
+    assert np.isfinite(got).all()

@@ -125,10 +125,15 @@ class TestMeanExcess:
         np.testing.assert_array_equal(scaled.thresholds, 8.0 * base.thresholds)
         np.testing.assert_array_equal(scaled.mean_excess, 8.0 * base.mean_excess)
 
-    def test_overflowing_suffix_sums_raise(self):
+    def test_overflowing_suffix_sums_scale_back(self):
+        # The suffix sums of these values overflow float64; on the unit scale
+        # 2**1024 they do not, and the curve is that of values / 2**1024.
         values = np.random.default_rng(308).uniform(1e307, 1.7e308, 50)
-        with pytest.raises(InvalidParameterError, match="finite"):
-            mean_excess(values)
+        curve, unit = mean_excess(values), mean_excess(np.ldexp(values, -1024))
+        np.testing.assert_array_equal(curve.thresholds, np.ldexp(unit.thresholds, 1024))
+        np.testing.assert_array_equal(curve.mean_excess, np.ldexp(unit.mean_excess, 1024))
+        np.testing.assert_array_equal(curve.exceedances, unit.exceedances)
+        assert curve.shape is unit.shape
 
 
 class TestClassifyShape:
@@ -242,11 +247,15 @@ class TestMaxToSum:
         with pytest.raises(NegativeValueError):
             max_to_sum([1.0, -2.0], 2)
 
-    def test_overflowing_order_raises(self):
+    def test_overflowing_order_is_scale_free(self):
+        # x**4 overflows float64 here; the ratios are those of the values on
+        # their unit scale, at every order.
         values = np.random.default_rng(80).uniform(1e80, 2e80, 50)
-        assert np.isfinite(max_to_sum(values, 3).ratios).all()
-        with pytest.raises(InvalidParameterError, match="p=4"):
-            max_to_sum(values, 4)
+        unit = np.ldexp(values, -np.frexp(values.max())[1])
+        for p in (3, 4):
+            trace, want = max_to_sum(values, p), max_to_sum(unit, p)
+            np.testing.assert_array_equal(trace.ratios, want.ratios)
+            assert trace.verdict is want.verdict
 
     def test_inconclusive_band(self):
         # final ratio between 0.02 and 0.10 with a quiet last decile

@@ -10,6 +10,7 @@ from tailscope.errors import (
     TooShortError,
     WindowTooLargeError,
     WindowTooSmallError,
+    _unit_scale,
 )
 from tailscope.stats import RollingStatistic, rolling, summarize
 
@@ -146,13 +147,15 @@ def test_rolling_rejects_non_finite(statistic):
 
 
 def _window_loop(values, window, statistic):
-    """Per-window reference: the summary statistics of each window alone."""
+    """Per-window reference: the summary statistics of each window alone, on
+    the unit scale of the whole series, with the SD scaled back."""
+    unit, e = _unit_scale(values)
     out = []
     for i in range(len(values) - window + 1):
-        segment = values[i : i + window]
+        segment = unit[i : i + window]
         sd = float(segment.std(ddof=1))
         if statistic == "std_dev":
-            out.append(sd)
+            out.append(math.ldexp(sd, e))
         else:
             mean = segment.mean()
             out.append(float("nan") if abs(mean) < 1e-12 else float(sd / mean))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 import scipy.stats
@@ -84,3 +86,20 @@ class TestValidation:
     def test_invalid_parameters(self, kwargs):
         with pytest.raises(InvalidParameterError):
             GeneratorSpec(**kwargs)
+
+
+OVERFLOWING_SPECS = [
+    dict(family=Family.PARETO, alpha=0.001),
+    dict(family=Family.GAUSSIAN, mu=1e308, sigma=1e308),
+    dict(family=Family.EXPONENTIAL, lam=1e-308),
+    dict(family=Family.LOGNORMAL, sigma=400.0),
+]
+
+
+@pytest.mark.parametrize("kwargs", OVERFLOWING_SPECS, ids=lambda kw: kw["family"].value)
+def test_draws_beyond_float64_raise_without_warning(kwargs):
+    spec = GeneratorSpec(n=50, seed=0, **kwargs)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(InvalidParameterError, match="exceed the float64 range"):
+            generate(spec)
