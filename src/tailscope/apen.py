@@ -30,9 +30,9 @@ from .errors import (
 
 # Distance blocks hold _BLOCK_ROWS sorted templates at a time and never more
 # than _CHUNK_CELLS float64 cells (~32 MB), whatever N is. A block of sorted
-# rows spans about as many columns beyond the band as it has rows, while each
-# block also costs a fixed twenty-odd numpy calls: 64 rows balances the two,
-# and a series shorter than two blocks is one block.
+# rows spans its own rows' columns and then the half band past them, while
+# each block also costs a fixed twenty-odd numpy calls: 64 rows balances the
+# two, and a series shorter than two blocks is one block.
 _BLOCK_ROWS = 64
 _CHUNK_CELLS = 4_194_304
 # Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and splits
@@ -103,15 +103,19 @@ class ApenParams:
 def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     """phi(m) and phi(m + 1) from one pass over sorted first-coordinate bands.
 
-    Templates are sorted by their first coordinate, so the templates within
-    r of one lie in a contiguous band found by ``searchsorted``. Each block
-    of sorted rows is compared with the union of its rows' bands only, and
-    its Chebyshev distances over the first m coordinates give the m counts
-    before the (m+1)-th coordinate is folded in for the m + 1 counts. The
-    window gets one trailing NaN, so the last m-template has an (m+1)-th
-    coordinate that matches nothing, not even itself. Counts are scattered
-    back to template order, so the logarithms are summed in the same order
-    as a dense count and the result is the same to the bit.
+    Templates are sorted by their first coordinate, so those within r of a
+    template and after it in that order form a contiguous run, whose end
+    ``searchsorted`` finds. The Chebyshev distance is symmetric, so each
+    unordered pair is compared once: a block of sorted rows [start, stop) is
+    compared with the columns from start to the end of its last row's band.
+    Its row sums go to its own templates, and its column sums past stop to
+    those templates; the [start, stop) square holds both orders of each of
+    its pairs already. The distances over the first m coordinates give the
+    m counts before the (m+1)-th coordinate is folded in for the m + 1
+    counts. The window gets one trailing NaN, so the last m-template has an
+    (m+1)-th coordinate that matches nothing, not even itself. Counts are
+    scattered back to template order, so the logarithms are summed in the
+    same order as a dense count and the result is the same to the bit.
     """
     t = arr.size - m + 1
     ext = np.append(arr, np.nan)
@@ -121,43 +125,49 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     # A few ulps of slack keep every pair whose rounded |u_i - u_j| <= r
     # inside the band; the exact check below decides each pair.
     pad = r + 4.0 * _EPS * (1.0 + r)  # on the unit scale no value reaches 1
-    lo = np.searchsorted(first, first - pad, side="left")
     hi = np.searchsorted(first, first + pad, side="right")
     rows = t if t < 2 * _BLOCK_ROWS else max(1, min(_BLOCK_ROWS, _CHUNK_CELLS // t))
     starts = np.arange(0, t, rows)
     stops = np.minimum(starts + rows, t)
-    cols_lo, cols_hi = lo[starts], hi[stops - 1]
-    cells = int(((stops - starts) * (cols_hi - cols_lo)).max())
+    ends = hi[stops - 1]
+    cells = int(((stops - starts) * (ends - starts)).max())
     dist_buf, diff_buf = np.empty(cells), np.empty(cells)
     within_buf = np.empty(cells, dtype=bool)
     # No count exceeds t, so the narrowest unsigned type that holds t holds
-    # every count exactly, and the match mask, viewed as uint8, sums into it
-    # without a cast to a wider type.
-    counts = np.empty((2, t), dtype=np.min_scalar_type(t))
-    for start, stop, c0, c1 in zip(
-        starts.tolist(), stops.tolist(), cols_lo.tolist(), cols_hi.tolist()
-    ):
-        shape = (stop - start, c1 - c0)
+    # every count, and every partial sum of it, exactly; the match mask,
+    # viewed as uint8, sums into it without a cast to a wider type.
+    counts = np.zeros((2, t), dtype=np.min_scalar_type(t))
+    for start, stop, end in zip(starts.tolist(), stops.tolist(), ends.tolist()):
+        shape = (stop - start, end - start)
         size = shape[0] * shape[1]
         dist = dist_buf[:size].reshape(shape)
         diff = diff_buf[:size].reshape(shape)
         within = within_buf[:size].reshape(shape)
         matches = within.view(np.uint8)
-        np.subtract.outer(first[start:stop], first[c0:c1], out=dist)
+        np.subtract.outer(first[start:stop], first[start:end], out=dist)
         np.abs(dist, out=dist)
         for k in range(1, m + 1):
             if k == m:
                 np.less_equal(dist, r, out=within)
-                np.add.reduce(matches, axis=1, dtype=counts.dtype, out=counts[0, start:stop])
-            np.subtract.outer(coords[k][start:stop], coords[k][c0:c1], out=diff)
+                _add_matches(matches, counts[0, start:end])
+            np.subtract.outer(coords[k][start:stop], coords[k][start:end], out=diff)
             np.abs(diff, out=diff)
             np.maximum(dist, diff, out=dist)
         np.less_equal(dist, r, out=within)
-        np.add.reduce(matches, axis=1, dtype=counts.dtype, out=counts[1, start:stop])
+        _add_matches(matches, counts[1, start:end])
     counts[:, order] = counts.copy()
     phi_m = float(np.mean(np.log(counts[0] / t)))
     phi_m1 = float(np.mean(np.log(counts[1, : t - 1] / (t - 1))))
     return phi_m, phi_m1
+
+
+def _add_matches(matches: np.ndarray, counts: np.ndarray) -> None:
+    """Add a block's matches to the counts of the templates it covers: each
+    row's to its own, and each column's past the block's square to that
+    column's. Both sums are partial counts, so they fit counts' dtype."""
+    h = matches.shape[0]
+    counts[:h] += np.add.reduce(matches, axis=1, dtype=counts.dtype)
+    counts[h:] += np.add.reduce(matches[:, h:], axis=0, dtype=counts.dtype)
 
 
 def apen(values, params: ApenParams | None = None) -> float:
@@ -176,8 +186,9 @@ def apen(values, params: ApenParams | None = None) -> float:
         phi(m) - phi(m+1). Deterministic: identical input and parameters
         give bit-identical output. Templates are sorted by their first
         coordinate and each is compared only with those in its band of
-        width 2r, counting m and m + 1 matches in one pass (Manis, 2008):
-        O(N log N) plus O(N * (band + 64) * m) time, where band is the
+        width 2r, counting m and m + 1 matches in one pass (Manis, 2008).
+        The distance is symmetric, so each unordered pair is compared once:
+        O(N log N) plus O(N * (band / 2 + 64) * m) time, where band is the
         number of templates whose first coordinate lies within r,
         and bounded memory. The result is bit-identical to a dense N x N
         count, and the same at every power-of-two scale of the input.

@@ -12,6 +12,7 @@ Exit codes: 0 success, 1 at least one asset failed, 2 configuration error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import json
 import os
@@ -23,7 +24,9 @@ from pathlib import Path
 import numpy as np
 
 from .apen import ApenParams, apen
-from .errors import InvalidParameterError, TailscopeError, TooShortError, ZeroToleranceError
+from .errors import (
+    InvalidParameterError, TailscopeError, TooFewPointsError, TooShortError, ZeroToleranceError,
+)
 from .evt import fitted_slope, max_to_sum, mean_excess
 from .series import (
     Frequency, ReturnKind, _read_csv, fill_weekend, ingest_csv, log_returns, resample
@@ -185,14 +188,14 @@ def _emit(args, name: tuple, table: dict, payload=None) -> Path:
         except ValueError as exc:
             raise InvalidParameterError(f"metadata is not finite: {exc}") from None
         pieces = text.split('"\\u0000"')
-        with path.open("w", encoding="utf-8") as fh:
+        with _replacing(path, newline=None) as fh:
             fh.write(pieces[0])
             for slot, head, tail in zip(slots, pieces, pieces[1:]):
                 _write_json_list(fh, table if slot is _RECORDS else slot, head.rpartition("\n")[2])
                 fh.write(tail)
             fh.write("\n")
         return path
-    with path.open("w", newline="", encoding="utf-8") as fh:
+    with _replacing(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(table)
         if any(isinstance(cells, list) for cells in table.values()):
@@ -201,6 +204,24 @@ def _emit(args, name: tuple, table: dict, payload=None) -> Path:
             template = ",".join(["%s"] * len(table)) + "\r\n"
             _write_rows(fh, template, list(table.values()), '""' if len(table) == 1 else "", "")
     return path
+
+
+@contextlib.contextmanager
+def _replacing(path: Path, newline: str | None):
+    """A text file to write that replaces ``path`` once the block ends.
+
+    It is a temporary file beside ``path``, moved onto it by ``os.replace``.
+    An error in the block removes the temporary file, so a failed write
+    leaves no partial file, and any earlier file at ``path`` as it was.
+    """
+    temporary = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with temporary.open("w", newline=newline, encoding="utf-8") as fh:
+            yield fh
+        os.replace(temporary, path)
+    except BaseException:
+        temporary.unlink(missing_ok=True)
+        raise
 
 
 def _emit_row(args, row: dict, command: str) -> None:
@@ -286,6 +307,14 @@ def _apen(args, asset: str, path: Path) -> None:
     _emit_row(args, row, "apen")
 
 
+def _fitted_slope(curve) -> float | None:
+    """The curve's fitted slope, or None where it has too few distinct thresholds."""
+    try:
+        return fitted_slope(curve)
+    except TooFewPointsError:
+        return None
+
+
 def _mef(args, asset: str, path: Path) -> None:
     values, _, head = _load(args, asset, path)
     curve = mean_excess(values, args.trim)
@@ -298,7 +327,7 @@ def _mef(args, asset: str, path: Path) -> None:
         **head,
         "trimmed": curve.trimmed,
         "shape": curve.shape.value,
-        "fitted_slope": fitted_slope(curve) if len(curve) >= 2 else None,
+        "fitted_slope": _fitted_slope(curve),
         "points": _RECORDS,
     })
 

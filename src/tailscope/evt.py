@@ -105,21 +105,24 @@ def fitted_slope(curve: MefCurve) -> float:
 
     Weighting each point by its exceedance count suppresses the noisy
     high-threshold end. For a generalized Pareto tail with shape xi the
-    slope estimates xi / (1 - xi).
+    slope estimates xi / (1 - xi). A curve of fewer than 2 points, or whose
+    thresholds are equal to within rounding, raises TooFewPointsError.
     """
     if len(curve) < 2:
         raise TooFewPointsError("slope fit needs at least 2 points")
-    return _slope(curve.thresholds, curve.mean_excess, curve.exceedances.astype(np.float64))[0]
+    return _slope(curve.thresholds, curve.mean_excess, curve.exceedances.astype(np.float64))
 
 
-def _slope(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> tuple[float, int]:
-    """Least-squares slope of y on x, weighted by w, and the rank of the fit,
-    below 2 when x is equal to within rounding. The fit runs on the unit
+def _slope(x: np.ndarray, y: np.ndarray, w: np.ndarray | None = None) -> float:
+    """Least-squares slope of y on x, weighted by w. The fit runs on the unit
     scales of x and y, where np.polyfit's column norms cannot overflow or
-    vanish, and the slope is multiplied back by 2**(ey - ex)."""
+    vanish, and the slope is multiplied back by 2**(ey - ex). A fit of rank
+    below 2, from x equal to within rounding, raises TooFewPointsError."""
     (unit_x, ex), (unit_y, ey) = _unit_scale(x), _unit_scale(y)
     coef, _, rank, _, _ = np.polyfit(unit_x, unit_y, 1, w=w, full=True)
-    return float(_from_unit_scale(coef[0], ey - ex, "the slope")), int(rank)
+    if rank < 2:
+        raise TooFewPointsError("slope fit needs thresholds that differ beyond rounding")
+    return float(_from_unit_scale(coef[0], ey - ex, "the slope"))
 
 
 def mean_excess_at(values, threshold: float) -> float:
@@ -195,11 +198,14 @@ def classify_shape(thresholds, mean_excess_values) -> MefShape:
     if (a[1:] <= a[:-1]).any():
         raise InvalidParameterError("thresholds must be strictly increasing")
     a, me = _unit_scale(a)[0], _unit_scale(me)[0]  # sigma and the vote are scale-free
-    slope, rank = _slope(a, me)
+    try:
+        slope = _slope(a, me)
+    except TooFewPointsError:
+        return MefShape.UNCLASSIFIED
     scale = float(me.mean())
     span = float(a[-1] - a[0])
     sigma = slope * span / scale if scale != 0.0 else float("nan")
-    if rank < 2 or not np.isfinite(sigma):
+    if not np.isfinite(sigma):
         return MefShape.UNCLASSIFIED
     if abs(sigma) < SLOPE_THRESHOLD:
         return MefShape.CONSTANT

@@ -17,6 +17,8 @@ from tailscope.stats import rolling
 
 from reference_apen import apen_dense, apen_direct, rolling_apen_loop
 
+pytestmark = pytest.mark.filterwarnings("error")
+
 X = [0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0, 0.0, 1.0, 0.0, -1.0]
 Y = [-1.0, 1.0, 0.0, 0.0, 0.0, 1.0, 0.0, -1.0, 0.0, -1.0, 1.0, 0.0]
 
@@ -93,12 +95,17 @@ class TestApen:
         assert apen(0.5 * data - 11.25) == base
 
     @pytest.mark.parametrize("t", [255, 256])
-    def test_match_counts_past_the_uint8_range_stay_exact(self, t):
+    def test_match_counts_past_the_uint8_range_stay_exact(self, monkeypatch, t):
         # With r = 1e9 every template matches every template, so each phi is
         # ln(1) = 0 exactly; a count that wrapped at 256 would give -inf or NaN.
+        # With blocks of one row, each count is the sum of one row's partial
+        # count and of one column count from every block before it.
         params = ApenParams(m=2, r_mode=RMode.ABSOLUTE, r_value=1e9)
         data = np.random.default_rng(t).normal(size=t + 40)
         assert apen(data[: t + 1], params) == 0.0
+        with monkeypatch.context() as patch:
+            patch.setattr(importlib.import_module("tailscope.apen"), "_BLOCK_ROWS", 1)
+            assert apen(data[: t + 1], params) == 0.0
         got = rolling(data, t + 1, "apen", apen_params=params).values
         assert np.array_equal(got, np.zeros(40))
 
@@ -209,6 +216,20 @@ class TestBandKernel:
                 r = 1.0 if name == "lattice" else 0.2 * float(data.std(ddof=1))
                 assert apen(data, _absolute(m, r)) == apen_dense(data, m, r), (name, m)
 
+    # (rows per block, cells per block): every count is then summed from the
+    # row and column counts of many blocks of a few rows.
+    @pytest.mark.parametrize("rows, cells", [(1, None), (2, None), (3, None), (3, 1_600)])
+    def test_small_blocks_count_each_pair_once(self, monkeypatch, rows, cells):
+        apen_module = importlib.import_module("tailscope.apen")
+        monkeypatch.setattr(apen_module, "_BLOCK_ROWS", rows)
+        if cells is not None:
+            monkeypatch.setattr(apen_module, "_CHUNK_CELLS", cells)
+        for name, data in _kernel_inputs().items():
+            for m in (1, 2, 3):
+                params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
+                want = apen_dense(data, m, params.resolve_r(data))
+                assert apen(data, params) == want, (name, m)
+
     @pytest.mark.parametrize("name", ["gauss", "walk", "lattice"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_bit_identical_to_dense_kernel(self, name, m):
@@ -251,6 +272,21 @@ class TestBatchedRollingApen:
                         patch.setattr(apen_module, "_ROLLING_CELLS", cells)
                     got = rolling(data, window, "apen", apen_params=params).values
                 assert np.array_equal(got, want), (window, windows, cells)
+
+    @pytest.mark.parametrize("name", ["gauss", "lattice"])
+    def test_long_window_bit_identical_to_window_loop(self, monkeypatch, name):
+        # Windows far past the chunk's cell budget; the loop checks apen
+        # itself at N = 1,100 on each of the 201 windows.
+        apen_module = importlib.import_module("tailscope.apen")
+        data = _rolling_inputs(1_300)[name]
+        params = _absolute(2, 1.0) if name == "lattice" else ApenParams()
+        want = rolling_apen_loop(data, 1_100, params)
+        for windows in (None, 1):
+            with monkeypatch.context() as patch:
+                if windows is not None:
+                    patch.setattr(apen_module, "_ROLLING_WINDOWS", windows)
+                got = rolling(data, 1_100, "apen", apen_params=params).values
+            assert np.array_equal(got, want), windows
 
     def test_constant_run_raises_zero_tolerance(self):
         data = np.random.default_rng(12).normal(size=300)

@@ -9,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import tailscope.cli as cli
 from tailscope.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from tailscope.evt import max_to_sum
 from tailscope.series import fill_weekend, ingest_csv
@@ -424,6 +425,48 @@ class TestStrictOutput:
         assert "inf" not in (text + captured.out).lower()
         if fmt == "json":
             json.loads(text, parse_constant=reject_constant)
+
+
+
+class TestRankOneSlope:
+    def test_mef_writes_a_null_slope(self, tmp_path, capsys):
+        # Thresholds equal to within rounding give the slope fit rank 1: the
+        # curve has no slope, and the call still succeeds.
+        path = write_values(tmp_path / "flat.csv", 1.7 - np.arange(60) * 2.2e-16)
+        out = tmp_path / "out"
+        assert main(["mef", f"flat={path}", "--format", "json", "--out", str(out)]) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        doc = json.loads((out / "flat_na_values_mef.json").read_text(encoding="utf-8"))
+        assert doc["shape"] == "unclassified"
+        assert doc["fitted_slope"] is None
+
+
+class TestAtomicWrite:
+    """A write that fails halfway leaves no partial file and no temporary
+    file, and a file from an earlier run as it was."""
+
+    @pytest.mark.parametrize("earlier", [False, True])
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_failed_write_leaves_no_partial_file(self, tmp_path, price_file, monkeypatch, capsys,
+                                                 fmt, earlier):
+        out = tmp_path / "out"
+        argv = ["ingest", f"btc={price_file}", "--format", fmt, "--out", str(out)]
+        before = {}
+        if earlier:
+            assert main(argv) == EXIT_OK
+            before = {path.name: path.read_bytes() for path in out.iterdir()}
+            assert list(before) == [f"btc_daily_prices_ingest.{fmt}"]
+        write_rows = cli._write_rows
+
+        def fail_halfway(fh, template, columns, null, sep):
+            write_rows(fh, template, [column[: len(column) // 2] for column in columns], null, sep)
+            fh.flush()
+            raise OSError("no space left on device")
+
+        monkeypatch.setattr(cli, "_write_rows", fail_halfway)
+        assert main(argv) == EXIT_PARTIAL
+        assert capsys.readouterr().err == "btc: OSError: no space left on device\n"
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
 
 
 class TestStartup:

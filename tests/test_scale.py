@@ -26,6 +26,7 @@ from tailscope import (
     MefShape,
     RMode,
     TailscopeError,
+    TooFewPointsError,
     apen,
     classify_shape,
     fitted_slope,
@@ -272,8 +273,10 @@ class TestRegressions:
 @_strict
 def test_values_a_few_ulps_apart_fit_without_a_rank_warning():
     # Thresholds equal to within rounding give the fit rank 1: the curve is
-    # unclassified, and np.polyfit's RankWarning (a UserWarning on numpy
-    # 1.24) is not raised; every warning is an error in these tests.
+    # unclassified and has no slope, and np.polyfit's RankWarning (a
+    # UserWarning on numpy 1.24) is not raised; every warning is an error in
+    # these tests.
     curve = mean_excess(1.7 - np.arange(60) * 2.2e-16)
     assert curve.shape is MefShape.UNCLASSIFIED
-    assert math.isfinite(fitted_slope(curve))
+    with pytest.raises(TooFewPointsError, match="rounding"):
+        fitted_slope(curve)
