@@ -35,12 +35,17 @@ from .errors import (
 # two, and a series shorter than two blocks is one block.
 _BLOCK_ROWS = 64
 _CHUNK_CELLS = 4_194_304
-# Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and splits
-# their template rows into slabs whose match masks hold at most
-# _ROLLING_CELLS cells, so its buffers stay near 0.5 MB at a window of 100
-# and grow only linearly with the window.
-_ROLLING_WINDOWS = 24
+# Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and fills
+# their distances a slab of rows at a time. A slab holds at most an eighth of
+# _ROLLING_CELLS float64 cells, and no mask or index array passes
+# _ROLLING_CELLS bytes (256 KB); only the per-window count tables grow with
+# the window, linearly. A chunk whose windows' blocks hold at most
+# _DENSE_RATIO times the cells of its distance matrix compares each block
+# with its own tolerance instead of splitting the cells at the chunk's
+# tolerance range.
+_ROLLING_WINDOWS = 48
 _ROLLING_CELLS = 262_144
+_DENSE_RATIO = 8
 _EPS = float(np.finfo(np.float64).eps)
 
 
@@ -200,21 +205,6 @@ def apen(values, params: ApenParams | None = None) -> float:
     return phi_m - phi_m1
 
 
-def _count_blocks(dist, windows, rows, size, r, mask, out) -> None:
-    """Matches within r[b] of each of ``rows`` rows of window b's block.
-
-    Window b's block starts at dist[b, b]: a strided view lays the blocks of
-    all ``windows`` windows side by side without copying them. The view is
-    built by the ndarray constructor, which checks that it stays inside
-    ``dist``; ``as_strided`` builds the same view several times slower.
-    """
-    s0, s1 = dist.strides
-    blocks = np.ndarray((windows, rows, size), dist.dtype, dist, 0, (s0 + s1, s0, s1))
-    within = mask[: windows * rows * size].reshape(windows, rows, size)
-    np.less_equal(blocks, r, out=within)
-    np.add.reduce(within.view(np.uint8), axis=2, dtype=out.dtype, out=out)
-
-
 def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.ndarray:
     """ApEn of every window of ``window`` observations, window i at tolerance r[i].
 
@@ -222,46 +212,156 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
     templates b .. b + t - 1 (t = window - m + 1) and its Chebyshev distances
     are the diagonal block D[b:b+t, b:b+t] of one matrix D over all
     templates. A chunk of consecutive windows fills the part of D its blocks
-    cover once per slab of rows and compares every block with its own r in
-    one call. As in _phi_pair, the m counts are taken before the (m+1)-th
+    cover a slab of rows at a time, so each of its distances is computed
+    once, and ``_count`` adds each slab to the counts of every window of the
+    chunk. As in _phi_pair, the m counts are taken before the (m+1)-th
     coordinate is folded in, and a trailing NaN stands in for the (m+1)-th
     coordinate of the series' last template, which no m + 1 count uses. Every
     count is the integer that apen counts for that window alone, and each
-    window's logarithms are summed in the same order, so every value is
-    the one apen gives the window, to the bit.
+    window's logarithms are summed in the same order, so every value is the
+    one apen gives the window, to the bit.
     """
     t = window - m + 1
     total = arr.size - window + 1
     ext = np.append(arr, np.nan)
     coords = [ext[k : k + arr.size - m + 1] for k in range(m + 1)]
     chunk = min(_ROLLING_WINDOWS, total)
-    slab = min(t, max(1, _ROLLING_CELLS // (chunk * t)))
-    cells = (slab + chunk - 1) * (chunk + t - 1)
-    dist_buf, diff_buf = np.empty(cells), np.empty(cells)
-    mask = np.empty(chunk * slab * t, dtype=bool)
-    counts = np.empty((2, chunk, t), dtype=np.min_scalar_type(t))  # as in _phi_pair
+    width = chunk + t - 1
+    rows = max(1, min(width, _ROLLING_CELLS // 8 // width))
+    dist_buf, diff_buf = np.empty(rows * width), np.empty(rows * width)
+    # Two slab masks, or a full chunk's blocks when it compares them whole.
+    blocks = chunk * t * t if _compares_blocks(chunk, t, min(rows, width), width) else 0
+    mask_buf = np.empty(max(2 * rows * width, blocks), bool)
+    # holds[k][b, j]: window b holds column j of its chunk, j in [b, b + tt).
+    after = ~np.tri(chunk, width, -1, bool)
+    holds = [np.tri(chunk, width, tt - 1, bool) & after for tt in (t, t - 1)]
+    dtype = np.min_scalar_type(t)  # as in _phi_pair
+    level_buf = np.empty(2 * chunk * width, dtype)
     out = np.empty(total)
     for first in range(0, total, chunk):
         b = min(chunk, total - first)
-        cols = slice(first, first + b + t - 1)
-        r_b = r[first : first + b, None, None]
-        for top in range(0, t, slab):
-            h = min(slab, t - top)
-            rows = slice(first + top, first + top + h + b - 1)
-            shape = (h + b - 1, b + t - 1)
-            dist = dist_buf[: shape[0] * shape[1]].reshape(shape)
-            diff = diff_buf[: shape[0] * shape[1]].reshape(shape)
-            np.subtract.outer(coords[0][rows], coords[0][cols], out=dist)
+        w = b + t - 1
+        # level[k, b, g]: window b's count for the chunk's template g, at m
+        # (k = 0) or m + 1; cells with g outside [b, b + t) are scratch.
+        level = level_buf[: 2 * b * w].reshape(2, b, w)
+        r_b = r[first : first + b]
+        cols = slice(first, first + w)
+        for top in range(0, w, rows):
+            h = min(rows, w - top)
+            span = slice(first + top, first + top + h)
+            dist = dist_buf[: h * w].reshape(h, w)
+            diff = diff_buf[: h * w].reshape(h, w)
+            np.subtract.outer(coords[0][span], coords[0][cols], out=dist)
             np.abs(dist, out=dist)
             for k in range(1, m + 1):
                 if k == m:
-                    _count_blocks(dist, b, h, t, r_b, mask, counts[0, :b, top : top + h])
-                np.subtract.outer(coords[k][rows], coords[k][cols], out=diff)
+                    _count(dist, top, t, r_b, holds[0][:b, :w], mask_buf, level[0])
+                np.subtract.outer(coords[k][span], coords[k][cols], out=diff)
                 np.abs(diff, out=diff)
                 np.maximum(dist, diff, out=dist)
             # Row t - 1 is no (m+1)-template of its window: counted, not used.
-            _count_blocks(dist, b, h, t - 1, r_b, mask, counts[1, :b, top : top + h])
-        phi_m = np.log(counts[0, :b] / t).mean(axis=1)
-        phi_m1 = np.log(counts[1, :b, : t - 1] / (t - 1)).mean(axis=1)
-        np.subtract(phi_m, phi_m1, out=out[first : first + b])
+            _count(dist, top, t - 1, r_b, holds[1][:b, :w], mask_buf, level[1])
+        s0, s1, s2 = level.strides
+        counts = np.ndarray((2, b, t), dtype, level, 0, (s0, s1 + s2, s2))
+        step = max(1, dist_buf.size // t)
+        for lb in range(0, b, step):
+            part = slice(lb, min(b, lb + step))
+            phi_m = _phi(counts[0, part], dist_buf)
+            phi_m1 = _phi(counts[1, part, : t - 1], dist_buf)
+            np.subtract(phi_m, phi_m1, out=out[first + part.start : first + part.stop])
     return out
+
+
+def _phi(counts: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """phi of each row of ``counts``, the mean of ln(count / row length), with
+    ``buf`` as scratch: the same operations as apen's, so the same bits."""
+    q = buf[: counts.size].reshape(counts.shape)
+    np.divide(counts, counts.shape[1], out=q)
+    np.log(q, out=q)
+    return q.mean(axis=1)
+
+
+def _count(dist, top, tt, r, holds, mask_buf, level) -> None:
+    """Count the matches of one slab of a chunk's distances in each window.
+
+    ``dist`` holds rows top .. top + h - 1 of the chunk's distance matrix
+    against all its w columns. Window b holds columns [b, b + tt), and its
+    count for row g goes to level[b, g]. With lo and hi the smallest and
+    largest of the chunk's tolerances, a distance <= lo matches in every
+    window and one above hi, or NaN, in none. Window b's sure matches differ
+    from window b - 1's by the column that enters and the one that leaves,
+    so one row sum and a cumulative sum over the windows count them all; the
+    sums wrap around in the counts' unsigned dtype, but every count fits it,
+    so each comes out exact. Each ambiguous cell, lo < d <= hi, is then
+    compared with the tolerance of every window that holds its column. In
+    absolute mode lo = hi, and no cell is ambiguous.
+
+    A chunk of short windows is mostly cells that no window holds, and its
+    tolerances swing widely. So when its distances are one slab and its
+    windows' blocks hold at most _DENSE_RATIO times its cells, each block is
+    compared with its own tolerance instead (``_count_dense``). Both give the
+    exact counts, so the choice cannot change a value.
+    """
+    h, w = dist.shape
+    b = level.shape[0]
+    if _compares_blocks(b, tt, h, w):
+        _count_dense(dist, tt, r, mask_buf, level)
+        return
+    lo, hi = r.min(), r.max()
+    out = level[:, top : top + h]
+    sure = mask_buf[: h * w].reshape(h, w)
+    np.less_equal(dist, lo, out=sure)
+    ones = sure.view(np.uint8)
+    np.add.reduce(ones[:, :tt], axis=1, dtype=out.dtype, out=out[0])
+    np.subtract(ones[:, tt : tt + b - 1].T, ones[:, : b - 1].T, out=out[1:], dtype=out.dtype)
+    np.cumsum(out, axis=0, dtype=out.dtype, out=out)
+    if hi == lo:
+        return
+    ambiguous = mask_buf[h * w : 2 * h * w].reshape(h, w)
+    np.less_equal(dist, hi, out=ambiguous)
+    np.not_equal(ambiguous, sure, out=ambiguous)
+    cells = np.flatnonzero(ambiguous)
+    flat = dist.reshape(-1)
+    # Pieces of cells whose window masks fit mask_buf. The cells come in row
+    # order, so each row's cells in a piece are one segment of it.
+    step = max(1, mask_buf.size // b)
+    for start in range(0, cells.size, step):
+        piece = cells[start : start + step]
+        g, j = np.divmod(piece, w)
+        held = holds[:, j]
+        within = mask_buf[: held.size].reshape(held.shape)
+        held &= np.less_equal(flat[piece], r[:, None], out=within)
+        new_row = np.empty(g.size, bool)
+        new_row[0] = True
+        np.not_equal(g[1:], g[:-1], out=new_row[1:])
+        starts = np.flatnonzero(new_row)
+        out[:, g[starts]] += np.add.reduceat(held.view(np.uint8), starts, axis=1, dtype=out.dtype)
+
+
+def _compares_blocks(windows: int, tt: int, h: int, w: int) -> bool:
+    """Whether a chunk of ``windows`` windows, whose slab is h of its w rows,
+    compares each window's tt x tt block whole (see _count)."""
+    return h == w and windows * tt * tt <= _DENSE_RATIO * w * w
+
+
+def _count_dense(dist, tt, r, mask_buf, level) -> None:
+    """Matches within r[b] of each of the tt rows of window b's block, for
+    every window b, with ``dist`` the whole of its chunk's distance matrix.
+
+    Window b's block starts at dist[b, b], and its counts go to the diagonal
+    level[b, b:b+tt]: strided views lay the blocks, and the counts, side by
+    side without copying them, as many windows at a time as mask_buf holds.
+    The views are built by the ndarray constructor, which checks that they
+    stay inside their arrays; ``as_strided`` builds the same views several
+    times slower.
+    """
+    s0, s1 = dist.strides
+    l0, l1 = level.strides
+    step = max(1, mask_buf.size // (tt * tt))
+    for lb in range(0, level.shape[0], step):
+        n = min(step, level.shape[0] - lb)
+        blocks = np.ndarray((n, tt, tt), dist.dtype, dist, lb * (s0 + s1), (s0 + s1, s0, s1))
+        within = mask_buf[: n * tt * tt].reshape(n, tt, tt)
+        np.less_equal(blocks, r[lb : lb + n, None, None], out=within)
+        diag = np.ndarray((n, tt), level.dtype, level, lb * (l0 + l1), (l0 + l1, l1))
+        np.add.reduce(within.view(np.uint8), axis=2, dtype=level.dtype, out=diag)

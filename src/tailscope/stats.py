@@ -108,9 +108,11 @@ def rolling(
     (``errors._unit_scale``). Windows that leave a coefficient of variation
     undefined (mean within 1e-12 * 2**e of zero) yield NaN so point count
     stays n - window + 1. SD and CV reduce blocks of windows over a
-    sliding-window view, and ApEn counts the matches of a chunk of windows at
-    once (see ``apen._rolling_apen``); every value is bit-identical to the
-    statistic of its window alone on that scale.
+    sliding-window view. ApEn computes the distances of a chunk of windows
+    once, counts the ones within the chunk's smallest tolerance for all its
+    windows at once, and compares only those between its smallest and largest
+    tolerance window by window (see ``apen._rolling_apen``). Every value is
+    bit-identical to the statistic of its window alone on that scale.
     """
     arr = _as_float64(values)
     stat = RollingStatistic(statistic)

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -287,6 +288,81 @@ class TestBatchedRollingApen:
                     patch.setattr(apen_module, "_ROLLING_WINDOWS", windows)
                 got = rolling(data, 1_100, "apen", apen_params=params).values
             assert np.array_equal(got, want), windows
+
+    def _every_chunking(self, monkeypatch):
+        """Patch in each CHUNKINGS entry in turn, and yield it."""
+        apen_module = importlib.import_module("tailscope.apen")
+        for chunk, cells in self.CHUNKINGS:
+            with monkeypatch.context() as patch:
+                if chunk is not None:
+                    patch.setattr(apen_module, "_ROLLING_WINDOWS", chunk)
+                if cells is not None:
+                    patch.setattr(apen_module, "_ROLLING_CELLS", cells)
+                yield chunk, cells
+
+    def _assert_every_chunking(self, monkeypatch, data, windows, params):
+        for window in windows:
+            want = rolling_apen_loop(data, window, params)
+            for entry in self._every_chunking(monkeypatch):
+                got = rolling(data, window, "apen", apen_params=params).values
+                assert np.array_equal(got, want), (window, entry)
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_volatility_break_bit_identical_to_window_loop(self, monkeypatch, m):
+        # Windows across the break have tolerances more than 10x apart in
+        # one chunk, so many of its distances lie between its smallest and
+        # largest tolerance and are compared window by window.
+        rng = np.random.default_rng(5150 + m)
+        data = np.concatenate((rng.normal(size=200), 10.0 * rng.normal(size=200)))
+        sd = np.lib.stride_tricks.sliding_window_view(data, 30).std(axis=1, ddof=1)
+        chunk = importlib.import_module("tailscope.apen")._ROLLING_WINDOWS
+        spans = np.lib.stride_tricks.sliding_window_view(sd, chunk)
+        assert (spans.max(axis=1) / spans.min(axis=1)).max() > 10.0
+        self._assert_every_chunking(monkeypatch, data, (m + 2, 7, 30, 100, 257), ApenParams(m=m))
+
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_absolute_tolerance_bit_identical_to_window_loop(self, monkeypatch, m):
+        # Every window of a chunk shares one tolerance, so no distance lies
+        # between the chunk's smallest and largest; real values, not a
+        # lattice, so ties with r are rare.
+        data = np.random.default_rng(6160 + m).standard_t(4, 300)
+        self._assert_every_chunking(monkeypatch, data, (m + 2, 7, 30, 100, 257), _absolute(m, 0.4))
+
+    def test_distance_equal_to_an_inner_tolerance_matches(self, monkeypatch):
+        # Every chunk of three or more windows has tolerances 0.5 and 2.0,
+        # and the windows in between have r = 1.0 exactly, which integer
+        # distances of 1 meet: those pairs match in those windows only.
+        apen_module = importlib.import_module("tailscope.apen")
+        m, window = 2, 40
+        data = np.random.default_rng(77).integers(0, 6, 120).astype(np.float64)
+        total = data.size - window + 1
+        r = np.resize([0.5, 1.0, 2.0], total)
+        want = np.empty(total)
+        for b in range(total):
+            x = data[b : b + window]
+            phi = []
+            for mm in (m, m + 1):
+                templates = np.lib.stride_tricks.sliding_window_view(x, mm)
+                d = np.abs(templates[:, None, :] - templates[None, :, :]).max(axis=2)
+                phi.append(np.mean(np.log((d <= r[b]).sum(axis=1) / templates.shape[0])))
+                if r[b] == 1.0:
+                    assert (d == 1.0).any()
+            want[b] = phi[0] - phi[1]
+        for entry in self._every_chunking(monkeypatch):
+            assert np.array_equal(apen_module._rolling_apen(data, window, m, r), want), entry
+
+    @pytest.mark.parametrize("window", [100, 1_000])
+    def test_peak_memory_stays_bounded(self, window):
+        # Ten years of daily returns: the kernel's buffers are bounded per
+        # slab, so the traced peak stays near 1 MB even at long windows.
+        data = 0.02 * np.random.default_rng(3650).standard_t(4, 3_650)
+        tracemalloc.start()
+        try:
+            rolling(data, window, "apen")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 2**20, peak
 
     def test_constant_run_raises_zero_tolerance(self):
         data = np.random.default_rng(12).normal(size=300)
