@@ -126,11 +126,10 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     ext = np.append(arr, np.nan)
     order = np.argsort(arr[:t], kind="stable")
     coords = [ext[k : k + t][order] for k in range(m + 1)]
-    first = coords[0]
     # A few ulps of slack keep every pair whose rounded |u_i - u_j| <= r
     # inside the band; the exact check below decides each pair.
     pad = r + 4.0 * _EPS * (1.0 + r)  # on the unit scale no value reaches 1
-    hi = np.searchsorted(first, first + pad, side="right")
+    hi = np.searchsorted(coords[0], coords[0] + pad, side="right")
     rows = t if t < 2 * _BLOCK_ROWS else max(1, min(_BLOCK_ROWS, _CHUNK_CELLS // t))
     starts = np.arange(0, t, rows)
     stops = np.minimum(starts + rows, t)
@@ -143,27 +142,34 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     # viewed as uint8, sums into it without a cast to a wider type.
     counts = np.zeros((2, t), dtype=np.min_scalar_type(t))
     for start, stop, end in zip(starts.tolist(), stops.tolist(), ends.tolist()):
-        shape = (stop - start, end - start)
-        size = shape[0] * shape[1]
-        dist = dist_buf[:size].reshape(shape)
-        diff = diff_buf[:size].reshape(shape)
-        within = within_buf[:size].reshape(shape)
+        within = within_buf[: (stop - start) * (end - start)].reshape(stop - start, end - start)
         matches = within.view(np.uint8)
-        np.subtract.outer(first[start:stop], first[start:end], out=dist)
-        np.abs(dist, out=dist)
-        for k in range(1, m + 1):
-            if k == m:
-                np.less_equal(dist, r, out=within)
-                _add_matches(matches, counts[0, start:end])
-            np.subtract.outer(coords[k][start:stop], coords[k][start:end], out=diff)
-            np.abs(diff, out=diff)
-            np.maximum(dist, diff, out=dist)
-        np.less_equal(dist, r, out=within)
-        _add_matches(matches, counts[1, start:end])
+        slab = _distances(coords, slice(start, stop), slice(start, end), dist_buf, diff_buf)
+        for level, dist in enumerate(slab):
+            np.less_equal(dist, r, out=within)
+            _add_matches(matches, counts[level, start:end])
     counts[:, order] = counts.copy()
     phi_m = float(np.mean(np.log(counts[0] / t)))
     phi_m1 = float(np.mean(np.log(counts[1, : t - 1] / (t - 1))))
     return phi_m, phi_m1
+
+
+def _distances(coords, rows: slice, cols: slice, dist_buf, diff_buf):
+    """Yield the Chebyshev distances of templates ``rows`` to ``cols`` over
+    the first m of the m + 1 ``coords``, then over all: one array, filled in
+    place in ``dist_buf``, with ``diff_buf`` as scratch."""
+    shape = (rows.stop - rows.start, cols.stop - cols.start)
+    dist = dist_buf[: shape[0] * shape[1]].reshape(shape)
+    diff = diff_buf[: dist.size].reshape(shape)
+    np.subtract.outer(coords[0][rows], coords[0][cols], out=dist)
+    np.abs(dist, out=dist)
+    for k in range(1, len(coords)):
+        if k == len(coords) - 1:
+            yield dist
+        np.subtract.outer(coords[k][rows], coords[k][cols], out=diff)
+        np.abs(diff, out=diff)
+        np.maximum(dist, diff, out=dist)
+    yield dist
 
 
 def _add_matches(matches: np.ndarray, counts: np.ndarray) -> None:
@@ -247,20 +253,11 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
         r_b = r[first : first + b]
         cols = slice(first, first + w)
         for top in range(0, w, rows):
-            h = min(rows, w - top)
-            span = slice(first + top, first + top + h)
-            dist = dist_buf[: h * w].reshape(h, w)
-            diff = diff_buf[: h * w].reshape(h, w)
-            np.subtract.outer(coords[0][span], coords[0][cols], out=dist)
-            np.abs(dist, out=dist)
-            for k in range(1, m + 1):
-                if k == m:
-                    _count(dist, top, t, r_b, holds[0][:b, :w], mask_buf, level[0])
-                np.subtract.outer(coords[k][span], coords[k][cols], out=diff)
-                np.abs(diff, out=diff)
-                np.maximum(dist, diff, out=dist)
+            span = slice(first + top, first + min(top + rows, w))
+            slab = _distances(coords, span, cols, dist_buf, diff_buf)
             # Row t - 1 is no (m+1)-template of its window: counted, not used.
-            _count(dist, top, t - 1, r_b, holds[1][:b, :w], mask_buf, level[1])
+            for k, dist in enumerate(slab):
+                _count(dist, top, t - k, r_b, holds[k][:b, :w], mask_buf, level[k])
         s0, s1, s2 = level.strides
         counts = np.ndarray((2, b, t), dtype, level, 0, (s0, s1 + s2, s2))
         step = max(1, dist_buf.size // t)

@@ -155,92 +155,72 @@ def _read_csv(path: Path, asset_id: str, *, dated: bool = False) -> PriceSeries 
     ``float`` parses it. Errors name the file's line; a file that is not
     UTF-8 text, or a cell longer than ``csv.field_size_limit()``, raises
     UnparsableRowError too.
+
+    The file is read once, and each column is parsed in one call. Only when
+    that fails, or the read stops at text it cannot read, are the cells read
+    parsed one at a time, in file order and date before close, so that the
+    first bad one raises, naming its line; then the read error raises.
     """
-    parsed = _parse_csv(path, asset_id, dated, exact=False)
-    return parsed if parsed is not None else _parse_csv(path, asset_id, dated, exact=True)
-
-
-def _parse_csv(
-    path: Path, asset_id: str, dated: bool, exact: bool
-) -> PriceSeries | np.ndarray | None:
-    """One read of the file at ``path`` for ``_read_csv``. Unless ``exact``,
-    each column is parsed in one call, and None is returned when any cell
-    fails that parse or the file cannot be read as CSV text. When ``exact``,
-    each kept row's date and then its close are parsed as the row is read,
-    so the first bad cell or line in the file raises, naming its line."""
-    try:
-        with path.open(newline="", encoding="utf-8-sig") as fh:
-            reader = csv.reader(fh)
+    # Each kept row's file line, its date (a price file's only), its close or value.
+    lines, raw_dates, raw_cells = [], [], []
+    dropped, failure = 0, None
+    with path.open(newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
             header = [name.strip().lower() for name in next(reader, [])]
-            if header == ["value"] and not dated:
-                if exact:
-                    values = [
-                        _finite_cell(row[0], path, reader.line_num, "value")
-                        for row in reader
-                        if row and row[0].strip()
-                    ]
-                    return np.array(values, dtype=np.float64)
-                return _float_column([row[0] for row in reader if row and row[0].strip()])
             column = {name: i for i, name in enumerate(header)}
-            if "date" not in column or "close" not in column:
+            bare = header == ["value"] and not dated
+            if bare:
+                for row in reader:
+                    if row and row[0].strip():
+                        raw_cells.append(row[0])
+                        lines.append(reader.line_num)
+            elif "date" not in column or "close" not in column:
                 raise MissingColumnError(
                     f"{path.name}: header must contain Date and Close columns"
                 )
-            date_at, close_at = column["date"], column["close"]
-            raw_dates: list[str] = []
-            raw_closes: list[str] = []
-            dropped = 0
-            for row in reader:
-                if not row:
-                    continue
-                raw_close = row[close_at].strip() if close_at < len(row) else ""
-                if raw_close == "" or raw_close.lower() == "null":
-                    dropped += 1
-                    continue
-                raw_date = row[date_at].strip() if date_at < len(row) else ""
-                if exact:
-                    try:
-                        dt.date.fromisoformat(raw_date)
-                    except ValueError:
-                        raise UnparsableRowError(
-                            f"{path.name} row {reader.line_num}: unparsable date {raw_date!r}"
-                        ) from None
-                    _finite_cell(raw_close, path, reader.line_num, "close")
-                raw_dates.append(raw_date)
-                raw_closes.append(raw_close)
-    except UnicodeDecodeError as exc:
-        if not exact:
-            return None
-        raise UnparsableRowError(f"{path.name}: not UTF-8 text ({exc.reason})") from None
-    except csv.Error as exc:
-        if not exact:
-            return None
-        raise UnparsableRowError(f"{path.name} row {reader.line_num}: {exc}") from None
+            else:
+                date_at, close_at = column["date"], column["close"]
+                for row in reader:
+                    if not row:
+                        continue
+                    raw_close = row[close_at].strip() if close_at < len(row) else ""
+                    if raw_close == "" or raw_close.lower() == "null":
+                        dropped += 1
+                        continue
+                    raw_dates.append(row[date_at].strip() if date_at < len(row) else "")
+                    raw_cells.append(raw_close)
+                    lines.append(reader.line_num)
+        except UnicodeDecodeError as exc:
+            failure = UnparsableRowError(f"{path.name}: not UTF-8 text ({exc.reason})")
+        except csv.Error as exc:
+            failure = UnparsableRowError(f"{path.name} row {reader.line_num}: {exc}")
     try:
         days = list(map(dt.date.fromisoformat, raw_dates))
+        values = np.array(list(map(float, raw_cells)), dtype=np.float64)
+        parsed = failure is None and np.isfinite(values).all()
     except ValueError:
-        return None
-    closes = _float_column(raw_closes)
-    if closes is None:
-        return None
-    order = sorted(range(len(days)), key=days.__getitem__)
-    return PriceSeries(
-        asset_id,
-        Frequency.DAILY,
-        [days[i] for i in order],
-        closes[order],
-        dropped_rows=dropped,
-    )
-
-
-def _float_column(cells: list[str]) -> np.ndarray | None:
-    """``cells`` as float64 values, each parsed by ``float``, or None when
-    any cell does not parse or is not finite."""
-    try:
-        values = np.array(list(map(float, cells)), dtype=np.float64)
-    except ValueError:
-        return None
-    return values if np.isfinite(values).all() else None
+        parsed = False
+    if parsed:
+        order = sorted(range(len(days)), key=days.__getitem__)
+        return values if bare else PriceSeries(
+            asset_id,
+            Frequency.DAILY,
+            [days[i] for i in order],
+            values[order],
+            dropped_rows=dropped,
+        )
+    # A cell the column parse rejects is rejected here too: only a read error gets past.
+    for k, line in enumerate(lines):
+        if raw_dates:
+            try:
+                dt.date.fromisoformat(raw_dates[k])
+            except ValueError:
+                raise UnparsableRowError(
+                    f"{path.name} row {line}: unparsable date {raw_dates[k]!r}"
+                ) from None
+        _finite_cell(raw_cells[k], path, line, "close" if raw_dates else "value")
+    raise failure
 
 
 def ingest_csv(path: str | Path, asset_id: str) -> PriceSeries:

@@ -1,9 +1,11 @@
 import csv
 import datetime as dt
+import io
 import math
 import random
 import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -234,6 +236,15 @@ def _outcome(read, path, dated):
             got.dropped_rows)
 
 
+def _stops_csv(text):
+    """Whether csv stops on ``text`` with an error before its end."""
+    try:
+        list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
+    except csv.Error:
+        return True
+    return False
+
+
 class TestReaderEquivalence:
     """series._read_csv against the cell-by-cell reference reader."""
 
@@ -345,6 +356,69 @@ class TestReaderEquivalence:
         with pytest.raises(UnparsableRowError, match="row 3: unparsable value 'abc'"):
             series_module._read_csv(values, "v")
         assert len(calls) == 2
+
+    def test_fuzzed_read_errors_in_mid_file_read_as_the_reference(self, tmp_path):
+        # Under a lowered field size limit, a run of digits put anywhere in a
+        # fuzzed file stops csv there, often after a bad cell.
+        rng = random.Random(5102)
+        limit = csv.field_size_limit(48)
+        kinds = {}
+        try:
+            for _ in range(1000):
+                text = _fuzz_file(rng)
+                if rng.random() < 0.5:
+                    at = rng.randrange(len(text) + 1)
+                    text = text[:at] + "9" * rng.randrange(40, 60) + text[at:]
+                got = self._compare(tmp_path / "a.csv", text, dated=rng.random() < 0.2)
+                if got[0] != "UnparsableRowError":
+                    kind = got[0]
+                elif "field larger" in got[1]:
+                    kind = "read error"
+                else:
+                    kind = "bad cell, then a read error" if _stops_csv(text) else "bad cell"
+                kinds[kind] = kinds.get(kind, 0) + 1
+        finally:
+            csv.field_size_limit(limit)
+        assert kinds.get("read error", 0) > 100
+        assert kinds.get("bad cell, then a read error", 0) > 30
+
+
+class TestOneOpen:
+    """series._read_csv opens its file once, whatever it finds in it."""
+
+    LONG_LINE = "1," + "9" * (csv.field_size_limit() + 1)
+
+    @pytest.mark.parametrize(
+        "content, error",
+        [
+            (b"Date,Close\n2020-01-01,1.5\n2020-01-02,null\n2020-01-03,2.5\n", None),
+            (b"value\n1.5\n2.5\n", None),
+            (b"value\n1.5\nabc\n2.5\n", "row 3: unparsable value 'abc'"),
+            (b"value\n1\nabc\n" + b"2\n" * 10_000 + b"\xff\n", "row 3: unparsable value 'abc'"),
+            (f"value\n1\nabc\n{LONG_LINE}\n".encode(), "row 3: unparsable value 'abc'"),
+        ],
+        ids=[
+            "clean prices", "clean values", "bad cell", "bad cell, then non-UTF-8",
+            "bad cell, then long line",
+        ],
+    )
+    def test_each_file_is_opened_once(self, tmp_path, monkeypatch, content, error):
+        path = tmp_path / "a.csv"
+        path.write_bytes(content)
+        opened = []
+        path_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        if error is None:
+            series_module._read_csv(path, "a")
+        else:
+            with pytest.raises(UnparsableRowError, match=f"^a\\.csv {error}$"):
+                series_module._read_csv(path, "a")
+        assert opened == [path]
 
 
 class TestPriceSeries:
