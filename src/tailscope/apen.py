@@ -149,9 +149,8 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
             np.less_equal(dist, r, out=within)
             _add_matches(matches, counts[level, start:end])
     counts[:, order] = counts.copy()
-    phi_m = float(np.mean(np.log(counts[0] / t)))
-    phi_m1 = float(np.mean(np.log(counts[1, : t - 1] / (t - 1))))
-    return phi_m, phi_m1
+    phi_buf = np.empty(t)
+    return float(_phi(counts[:1], phi_buf)[0]), float(_phi(counts[1:, : t - 1], phi_buf)[0])
 
 
 def _distances(coords, rows: slice, cols: slice, dist_buf, diff_buf):
@@ -271,7 +270,7 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
 
 def _phi(counts: np.ndarray, buf: np.ndarray) -> np.ndarray:
     """phi of each row of ``counts``, the mean of ln(count / row length), with
-    ``buf`` as scratch: the same operations as apen's, so the same bits."""
+    ``buf`` as scratch: both ApEn kernels take their phis here, so the same bits."""
     q = buf[: counts.size].reshape(counts.shape)
     np.divide(counts, counts.shape[1], out=q)
     np.log(q, out=q)

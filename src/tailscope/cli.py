@@ -80,32 +80,28 @@ def _calendar(args, asset: str, series):
     return series
 
 
-def _read(args, asset: str, path: Path):
-    """One input, opened once: its prices after --fill-weekend and --frequency,
-    or the values of a bare value sample, which is undated and cannot be filled."""
+def _load(args, asset: str, path: Path, targets: tuple):
+    """Yield each of ``targets`` of one input, which is read once, as (values,
+    dates, head), where head holds the asset, frequency and target labels that
+    name its output file. A bare value sample is undated and has no returns:
+    it cannot be filled, and it stands once for the prices, which ``targets``
+    must hold, with dates None and labels na/values."""
     data = _read_csv(path, asset)
-    if not isinstance(data, np.ndarray):
-        return _calendar(args, asset, data)
-    if asset in args.fill:
-        raise InvalidParameterError("bare value samples are undated; cannot fill")
-    return data
-
-
-def _load(args, asset: str, path: Path):
-    """The --target series of one input as (values, dates, head), where head
-    holds the asset, frequency and target labels that name its output file.
-    A bare value sample is undated: its dates are None and its labels na/values."""
-    data = _read(args, asset, path)
     if isinstance(data, np.ndarray):
-        if args.target != "prices":
+        if asset in args.fill:
+            raise InvalidParameterError("bare value samples are undated; cannot fill")
+        if "prices" not in targets:
             raise InvalidParameterError("bare value samples have no prices to derive returns from")
-        return data, None, {"asset": asset, "frequency": "na", "target": "values"}
-    head = {"asset": asset, "frequency": args.frequency.value, "target": args.target}
-    kind = TARGETS[args.target]
-    if kind is None:
-        return data.closes, data.dates, head
-    returns = log_returns(data, kind)
-    return returns.values, returns.dates, head
+        yield data, None, {"asset": asset, "frequency": "na", "target": "values"}
+        return
+    prices = _calendar(args, asset, data)
+    for target in targets:
+        head = {"asset": asset, "frequency": args.frequency.value, "target": target}
+        if TARGETS[target] is None:
+            yield prices.closes, prices.dates, head
+        else:
+            returns = log_returns(prices, TARGETS[target])
+            yield returns.values, returns.dates, head
 
 
 # ---------------------------------------------------------------------------
@@ -262,23 +258,13 @@ def _ingest(args, asset: str, path: Path) -> None:
 def _report(args) -> int:
     table = {column: [] for column in REPORT_COLUMNS}
 
-    def add(asset: str, frequency: str, target: str, values: np.ndarray) -> None:
-        row = {"asset": asset, "frequency": frequency, "target": target}
-        row.update(asdict(summarize(values)))
-        try:
-            row["apen"] = apen(values, args.apen_params)
-        except (TooShortError, ZeroToleranceError):
-            row["apen"] = None
-        for column, cells in table.items():
-            cells.append(row[column])
-
     def handle(args, asset: str, path: Path) -> None:
-        prices = _read(args, asset, path)
-        if isinstance(prices, np.ndarray):
-            add(asset, "na", "values", prices)
-            return
-        add(asset, args.frequency.value, "prices", prices.closes)
-        add(asset, args.frequency.value, "returns", log_returns(prices, ReturnKind.SIGNED).values)
+        for values, _, head in _load(args, asset, path, ("prices", "returns")):
+            row = {**head, **asdict(summarize(values)), "apen": None}
+            with contextlib.suppress(TooShortError, ZeroToleranceError):
+                row["apen"] = apen(values, args.apen_params)
+            for column, cells in table.items():
+                cells.append(row[column])
 
     status = _each_asset(args, handle)
     _emit(args, ("report", args.frequency.value), table)
@@ -288,12 +274,12 @@ def _report(args) -> int:
 
 
 def _stats(args, asset: str, path: Path) -> None:
-    values, _, head = _load(args, asset, path)
+    [(values, _, head)] = _load(args, asset, path, (args.target,))
     _emit_row(args, {**head, **asdict(summarize(values))}, "stats")
 
 
 def _apen(args, asset: str, path: Path) -> None:
-    values, _, head = _load(args, asset, path)
+    [(values, _, head)] = _load(args, asset, path, (args.target,))
     params = args.apen_params
     value = apen(values, params)
     row = {
@@ -316,7 +302,7 @@ def _fitted_slope(curve) -> float | None:
 
 
 def _mef(args, asset: str, path: Path) -> None:
-    values, _, head = _load(args, asset, path)
+    [(values, _, head)] = _load(args, asset, path, (args.target,))
     curve = mean_excess(values, args.trim)
     table = {
         "threshold": curve.thresholds,
@@ -333,7 +319,7 @@ def _mef(args, asset: str, path: Path) -> None:
 
 
 def _maxsum(args, asset: str, path: Path) -> None:
-    values, _, head = _load(args, asset, path)
+    [(values, _, head)] = _load(args, asset, path, (args.target,))
     traces = [max_to_sum(values, p) for p in args.orders]
     table = {
         "p": np.concatenate([np.full(len(trace), trace.p) for trace in traces]),
@@ -347,7 +333,7 @@ def _maxsum(args, asset: str, path: Path) -> None:
 
 
 def _rolling(args, asset: str, path: Path) -> None:
-    values, dates, head = _load(args, asset, path)
+    [(values, dates, head)] = _load(args, asset, path, (args.target,))
     if dates is not None:
         dates = [day.isoformat() for day in dates]
     series = rolling(values, args.window, args.statistic, dates=dates, apen_params=args.apen_params)
@@ -382,6 +368,8 @@ def _parse_inputs(raw: list[str]) -> list[tuple[str, Path]]:
             asset, path = Path(item).stem, item
         if not asset:
             raise ConfigError(f"empty asset id in {item!r}")
+        if any(sep and sep in asset for sep in (os.sep, os.altsep)):
+            raise ConfigError(f"asset id {asset!r} holds a path separator")
         if asset in seen:
             raise ConfigError(f"duplicate asset id {asset!r}")
         seen.add(asset)
@@ -404,6 +392,8 @@ def _resolve(args: argparse.Namespace) -> None:
     then create --out. Raises ConfigError, or InvalidParameterError from the
     library constructors and ``generate``, which check the parameters."""
     if args.command == "synth":
+        if args.label and any(sep and sep in args.label for sep in (os.sep, os.altsep)):
+            raise ConfigError(f"--label {args.label!r} holds a path separator")
         params = ("mu", "sigma", "lam", "xi", "beta", "alpha", "x_min")
         args.spec = GeneratorSpec(args.family, args.n, _seed(args.seed),
                                   **{name: getattr(args, name) for name in params})

@@ -235,6 +235,34 @@ class TestConfigErrors:
             main(["stats", f"btc={price_file}", "--format", "xml"])
         assert info.value.code == 2
 
+    @pytest.mark.parametrize("asset", ["../escaped", "sub/x"])
+    def test_asset_id_with_a_path_separator_exits_two_and_writes_nothing(
+        self, tmp_path, price_file, capsys, asset
+    ):
+        out = tmp_path / "out"
+        assert main(["stats", f"{asset}={price_file}", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr().err == f"error: asset id {asset!r} holds a path separator\n"
+        assert [path.name for path in tmp_path.iterdir()] == ["btc.csv"]
+
+    def test_asset_id_with_the_alternative_separator_exits_two(
+        self, tmp_path, price_file, monkeypatch
+    ):
+        monkeypatch.setattr(os, "altsep", "\\")
+        out = tmp_path / "out"
+        assert main(["stats", f"a\\b={price_file}", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
+
+    @pytest.mark.parametrize("label", ["../x", "sub/x"])
+    def test_synth_label_with_a_path_separator_exits_two_and_writes_nothing(
+        self, tmp_path, capsys, label
+    ):
+        out = tmp_path / "out"
+        argv = ["synth", "--family", "exponential", "--n", "5", "--seed", "1", "--label", label,
+                "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: --label {label!r} holds a path separator\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_returns_from_bare_sample_fails(self, tmp_path):
         main(["synth", "--family", "gaussian", "--n", "50", "--seed", "1", "--out", str(tmp_path)])
         sample = tmp_path / "gaussian_na_values_synth.csv"
@@ -341,6 +369,30 @@ class TestOneReader:
         assert main(argv) == EXIT_OK
         assert opened.count(price_file) == 1
         assert opened.count(sample) == 1
+
+
+    @pytest.mark.parametrize(
+        "command", ["ingest", "report", "stats", "apen", "mef", "maxsum", "rolling"]
+    )
+    def test_every_command_opens_each_input_once(self, tmp_path, price_file, monkeypatch, command):
+        inputs = [price_file]
+        if command != "ingest":  # ingest takes price files only
+            sample = tmp_path / "sample.csv"
+            values = np.random.default_rng(11).exponential(1.0, 50).tolist()
+            sample.write_text("value\n" + "".join(f"{v!r}\n" for v in values), encoding="utf-8")
+            inputs.append(sample)
+        opened = []
+        path_open = Path.open
+
+        def counting_open(self, *args, **kwargs):
+            opened.append(self)
+            return path_open(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "open", counting_open)
+        window = ["--window", "10"] if command == "rolling" else []
+        argv = [command, *map(str, inputs), *window, "--out", str(tmp_path / "out")]
+        assert main(argv) == EXIT_OK
+        assert [opened.count(path) for path in inputs] == [1] * len(inputs)
 
 
 class TestOverflow:
