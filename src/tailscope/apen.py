@@ -47,6 +47,12 @@ _ROLLING_WINDOWS = 48
 _ROLLING_CELLS = 262_144
 _DENSE_RATIO = 8
 _EPS = float(np.finfo(np.float64).eps)
+# Testing a block for columns that match all its rows and gathering the
+# rest cost ~20 us per block and ~4 cells per column, at ~9 ns per cell, on a
+# 2-vCPU VM (numpy 2.4). _gathers asks for four times that per column, so a
+# block whose gather would only break even stays whole.
+_GATHER_CELLS = 16
+_GATHER_FIXED = 2_000
 
 
 class RMode(_Choice):
@@ -118,14 +124,21 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     its pairs already. The distances over the first m coordinates give the
     m counts before the (m+1)-th coordinate is folded in for the m + 1
     counts. The window gets one trailing NaN, so the last m-template has an
-    (m+1)-th coordinate that matches nothing, not even itself. Counts are
-    scattered back to template order, so the logarithms are summed in the
-    same order as a dense count and the result is the same to the bit.
+    (m+1)-th coordinate that matches nothing, not even itself.
+
+    A block whose rows lie close together, as on a price plateau, can have
+    columns past its square within r of every row in every coordinate.
+    Those match every row at m and at m + 1, so they are counted for the
+    whole block without computing a cell (``_unmatched``), and only the
+    square and the other columns are compared, gathered, when that pays.
+    Counts are exact integers and are scattered back to template order, so
+    the logarithms are summed in the same order as a dense count and the
+    result is the same to the bit.
     """
     t = arr.size - m + 1
     ext = np.append(arr, np.nan)
     order = np.argsort(arr[:t], kind="stable")
-    coords = [ext[k : k + t][order] for k in range(m + 1)]
+    coords = ext[np.arange(m + 1)[:, None] + order]
     # A few ulps of slack keep every pair whose rounded |u_i - u_j| <= r
     # inside the band; the exact check below decides each pair.
     pad = r + 4.0 * _EPS * (1.0 + r)  # on the unit scale no value reaches 1
@@ -135,22 +148,84 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     stops = np.minimum(starts + rows, t)
     ends = hi[stops - 1]
     cells = int(((stops - starts) * (ends - starts)).max())
-    dist_buf, diff_buf = np.empty(cells), np.empty(cells)
+    buffers = np.empty(cells), np.empty(cells)  # distances, scratch
     within_buf = np.empty(cells, dtype=bool)
+    # corners[b]: block b's least and greatest value in each coordinate. A
+    # column matches every row of the block if it lies within r of both in
+    # every coordinate: inside a window 2r - span wide in the block's widest
+    # coordinate, where the block's candidates (the columns from stop to the
+    # end of its first row's band) spread over about 2r. A block is tested
+    # only if that share of its candidates would pay for the gather; a NaN
+    # span, the last template's, never does.
+    lo = np.minimum.reduceat(coords, starts, axis=1)
+    top = np.maximum.reduceat(coords, starts, axis=1)
+    share = 1.0 - np.max(top - lo, axis=0) / (2.0 * r)
+    candidates = np.maximum(hi[starts] - stops, 0)
+    promising = _gathers(stops - starts, ends - starts, candidates * share).tolist()
+    corners = np.stack((lo, top)).transpose(2, 0, 1)[..., None]
     # No count exceeds t, so the narrowest unsigned type that holds t holds
     # every count, and every partial sum of it, exactly; the match mask,
     # viewed as uint8, sums into it without a cast to a wider type.
     counts = np.zeros((2, t), dtype=np.min_scalar_type(t))
-    for start, stop, end in zip(starts.tolist(), stops.tolist(), ends.tolist()):
-        within = within_buf[: (stop - start) * (end - start)].reshape(stop - start, end - start)
+    # whole[j]: the number of blocks all of whose rows column j matches.
+    # Each has ``rows`` rows: only the last block can have fewer, and it has
+    # no columns past its square.
+    whole = np.zeros(t, dtype=counts.dtype)
+    by_row = list(coords)  # a list of rows indexes faster than the array
+    blocks = zip(starts.tolist(), stops.tolist(), ends.tolist(), promising, corners)
+    for start, stop, end, promise, corner in blocks:
+        h, cols = stop - start, None
+        if promise:
+            cols = _unmatched(coords, corner, r, start, stop, end, int(hi[start]), counts, whole)
+        if cols is None:
+            block, first, n, past = by_row, start, end - start, slice(stop, end)
+        else:
+            block, first, n, past = np.take(coords, cols, axis=1), 0, cols.size, cols[h:]
+        within = within_buf[: h * n].reshape(h, n)
         matches = within.view(np.uint8)
-        slab = _distances(coords, slice(start, stop), slice(start, end), dist_buf, diff_buf)
+        slab = _distances(block, slice(first, first + h), slice(first, first + n), *buffers)
         for level, dist in enumerate(slab):
             np.less_equal(dist, r, out=within)
-            _add_matches(matches, counts[level, start:end])
+            _add_matches(matches, counts[level], slice(start, stop), past)
+    np.multiply(whole, rows, out=whole)
+    counts += whole
     counts[:, order] = counts.copy()
     phi_buf = np.empty(t)
     return float(_phi(counts[:1], phi_buf)[0]), float(_phi(counts[1:, : t - 1], phi_buf)[0])
+
+
+def _unmatched(coords, corner, r, start, stop, end, last, counts, whole):
+    """The columns that block [start, stop) must still compare cell by cell,
+    as indices with the block's own square first; or None, with nothing
+    counted, when the cells saved would not pay for the gather.
+
+    With lo and hi the block's least and greatest value in a coordinate
+    (``corner``), a column j in [stop, last) with fl(c[j] - lo) <= r and
+    fl(hi - c[j]) <= r in every coordinate c is within r of every row, as
+    rounding is monotone: it matches every row at m and at m + 1. Each row's
+    counts gain the number of such columns, and each one's ``whole`` one.
+    """
+    # |c - lo| <= r and |c - hi| <= r hold just when the two tests above do.
+    gap = coords[:, stop:last] - corner
+    full = np.abs(gap, out=gap).max(axis=(0, 1)) <= r
+    k = int(np.count_nonzero(full))
+    h = stop - start
+    if not _gathers(h, end - start, k):
+        return None
+    counts[:, start:stop] += k
+    np.add(whole[stop:last], full, out=whole[stop:last])
+    keep = np.ones(end - start, dtype=bool)
+    np.logical_not(full, out=keep[h : last - start])
+    cols = np.flatnonzero(keep)
+    cols += start
+    return cols
+
+
+def _gathers(h, n, k):
+    """Whether a block of h rows and n columns, k of which match every row,
+    compares only the other columns, gathered (see _unmatched): the cells
+    saved must pay for testing and gathering the block's columns."""
+    return h * k > _GATHER_CELLS * n + _GATHER_FIXED
 
 
 def _distances(coords, rows: slice, cols: slice, dist_buf, diff_buf):
@@ -171,13 +246,14 @@ def _distances(coords, rows: slice, cols: slice, dist_buf, diff_buf):
     yield dist
 
 
-def _add_matches(matches: np.ndarray, counts: np.ndarray) -> None:
+def _add_matches(matches: np.ndarray, counts: np.ndarray, rows: slice, past) -> None:
     """Add a block's matches to the counts of the templates it covers: each
-    row's to its own, and each column's past the block's square to that
-    column's. Both sums are partial counts, so they fit counts' dtype."""
+    row's to its own, ``rows``, and each column's past the block's square to
+    that column's, ``past`` (a slice, or indices when the columns were
+    gathered). Both sums are partial counts, so they fit counts' dtype."""
     h = matches.shape[0]
-    counts[:h] += np.add.reduce(matches, axis=1, dtype=counts.dtype)
-    counts[h:] += np.add.reduce(matches[:, h:], axis=0, dtype=counts.dtype)
+    counts[rows] += np.add.reduce(matches, axis=1, dtype=counts.dtype)
+    counts[past] += np.add.reduce(matches[:, h:], axis=0, dtype=counts.dtype)
 
 
 def apen(values, params: ApenParams | None = None) -> float:
@@ -199,9 +275,11 @@ def apen(values, params: ApenParams | None = None) -> float:
         width 2r, counting m and m + 1 matches in one pass (Manis, 2008).
         The distance is symmetric, so each unordered pair is compared once:
         O(N log N) plus O(N * (band / 2 + 64) * m) time, where band is the
-        number of templates whose first coordinate lies within r,
-        and bounded memory. The result is bit-identical to a dense N x N
-        count, and the same at every power-of-two scale of the input.
+        number of templates whose first coordinate lies within r, less
+        those that match all 64 templates of a sorted block at once, which
+        cost O(m) per block instead (as on a price plateau), and bounded
+        memory. The result is bit-identical to a dense N x N count, and the
+        same at every power-of-two scale of the input.
     """
     p = params if params is not None else ApenParams()
     unit, e = _unit_scale(_as_finite_array(values, min_n=p.min_length))

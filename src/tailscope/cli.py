@@ -370,6 +370,8 @@ def _parse_inputs(raw: list[str]) -> list[tuple[str, Path]]:
             raise ConfigError(f"empty asset id in {item!r}")
         if any(sep and sep in asset for sep in (os.sep, os.altsep)):
             raise ConfigError(f"asset id {asset!r} holds a path separator")
+        if "\0" in item:  # in the asset id or the path: no file name holds one
+            raise ConfigError(f"input {item!r} holds a NUL byte")
         if asset in seen:
             raise ConfigError(f"duplicate asset id {asset!r}")
         seen.add(asset)
@@ -394,6 +396,8 @@ def _resolve(args: argparse.Namespace) -> None:
     if args.command == "synth":
         if args.label and any(sep and sep in args.label for sep in (os.sep, os.altsep)):
             raise ConfigError(f"--label {args.label!r} holds a path separator")
+        if args.label and "\0" in args.label:
+            raise ConfigError(f"--label {args.label!r} holds a NUL byte")
         params = ("mu", "sigma", "lam", "xi", "beta", "alpha", "x_min")
         args.spec = GeneratorSpec(args.family, args.n, _seed(args.seed),
                                   **{name: getattr(args, name) for name in params})

@@ -1,4 +1,5 @@
 import ast
+import functools
 import importlib
 import math
 import tracemalloc
@@ -176,6 +177,39 @@ def _kernel_inputs():
     return {"gauss": gauss, "walk": walk, "lattice": lattice}
 
 
+def _plateau_growth(n, seed=2011):
+    """Closes like Bitcoin's: a long plateau, then a hundredfold growth. At
+    r = 0.2 SD nearly every plateau template matches every other."""
+    rng = np.random.default_rng(seed)
+    flat = int(0.7 * n)
+    drift = np.concatenate((np.zeros(flat), np.full(n - flat, np.log(100.0) / (n - flat))))
+    return 0.08 * np.exp(np.cumsum(drift + 0.01 * rng.standard_t(4, n)))
+
+
+def _whole_block_inputs():
+    """(data, absolute r) of series whose blocks hold columns that match
+    every row of the block."""
+    plateau = _plateau_growth(300)
+    # r = 1 on four values: columns sit exactly at c - lo == r and hi - c == r.
+    lattice = np.random.default_rng(2012).integers(0, 4, 300).astype(np.float64)
+    # The series ends back on the plateau, so the last template, whose
+    # (m+1)-th coordinate is NaN, sorts among close templates: it is a
+    # candidate column of the blocks before it, and its own block is tight
+    # in the first m coordinates.
+    back = np.concatenate((plateau, plateau[:12]))
+    return {
+        "plateau": (plateau, 0.2 * float(plateau.std(ddof=1))),
+        "lattice": (lattice, 1.0),
+        "last_on_plateau": (back, 0.2 * float(back.std(ddof=1))),
+    }
+
+
+@functools.lru_cache(maxsize=None)
+def _direct_whole_block(name, m):
+    data, r = _whole_block_inputs()[name]
+    return apen_direct(data, m, r)
+
+
 class TestBandKernel:
     """The sorted-band kernel against the direct count and the dense kernel."""
 
@@ -230,6 +264,54 @@ class TestBandKernel:
                 params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
                 want = apen_dense(data, m, params.resolve_r(data))
                 assert apen(data, params) == want, (name, m)
+
+    # Blocks of 1, 2, 3 and the default number of rows, under the cost rule
+    # as it is and under one that gathers whenever a column matches a block.
+    @pytest.mark.parametrize("always", [False, True])
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_columns_matching_whole_blocks(self, monkeypatch, m, rows, always):
+        apen_module = importlib.import_module("tailscope.apen")
+        if rows is not None:
+            monkeypatch.setattr(apen_module, "_BLOCK_ROWS", rows)
+        if always:
+            monkeypatch.setattr(apen_module, "_GATHER_CELLS", 0)
+            monkeypatch.setattr(apen_module, "_GATHER_FIXED", 0)
+        for name, (data, r) in _whole_block_inputs().items():
+            value = apen(data, _absolute(m, r))
+            assert value == apen_dense(data, m, r), name
+            assert value == pytest.approx(_direct_whole_block(name, m), abs=1e-12), name
+
+    def test_plateau_compares_under_half_of_its_band(self, monkeypatch):
+        # Most plateau columns match every row of their block: the kernel
+        # counts them without asking _distances for their cells.
+        apen_module = importlib.import_module("tailscope.apen")
+        distances, asked = apen_module._distances, []
+
+        def counting(coords, rows, cols, *buffers):
+            asked.append((rows.stop - rows.start) * (cols.stop - cols.start))
+            return distances(coords, rows, cols, *buffers)
+
+        monkeypatch.setattr(apen_module, "_distances", counting)
+        data = _plateau_growth(3_650)
+        value = apen(data)
+        compared = sum(asked)
+        asked.clear()
+        monkeypatch.setattr(apen_module, "_GATHER_FIXED", math.inf)  # every cell compared
+        assert apen(data) == value
+        assert compared < sum(asked) / 2, (compared, sum(asked))
+
+    def test_plateau_peak_memory(self):
+        # The traced peak before columns that match whole blocks were counted
+        # without their cells was 3,523,974 bytes on this series (numpy 2.4).
+        data = _plateau_growth(3_650)
+        tracemalloc.start()
+        try:
+            apen(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * 3_523_974, peak
 
     @pytest.mark.parametrize("name", ["gauss", "walk", "lattice"])
     @pytest.mark.parametrize("m", [1, 2, 3])

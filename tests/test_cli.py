@@ -263,6 +263,28 @@ class TestConfigErrors:
         assert capsys.readouterr() == ("", f"error: --label {label!r} holds a path separator\n")
         assert list(tmp_path.iterdir()) == []
 
+    def test_asset_id_with_a_nul_exits_two_and_writes_nothing(self, tmp_path, price_file, capsys):
+        out = tmp_path / "out"
+        item = f"a\0b={price_file}"
+        assert main(["stats", item, f"ok={price_file}", "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: input {item!r} holds a NUL byte\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["btc.csv"]
+
+    def test_input_path_with_a_nul_exits_two_and_writes_nothing(self, tmp_path, price_file, capsys):
+        out = tmp_path / "out"
+        item = f"x={price_file}\0.csv"
+        assert main(["stats", item, "--out", str(out)]) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", f"error: input {item!r} holds a NUL byte\n")
+        assert [path.name for path in tmp_path.iterdir()] == ["btc.csv"]
+
+    def test_synth_label_with_a_nul_exits_two_and_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        argv = ["synth", "--family", "exponential", "--n", "5", "--seed", "1", "--label", "a\0b",
+                "--out", str(out)]
+        assert main(argv) == EXIT_CONFIG
+        assert capsys.readouterr() == ("", "error: --label 'a\\x00b' holds a NUL byte\n")
+        assert list(tmp_path.iterdir()) == []
+
     def test_returns_from_bare_sample_fails(self, tmp_path):
         main(["synth", "--family", "gaussian", "--n", "50", "--seed", "1", "--out", str(tmp_path)])
         sample = tmp_path / "gaussian_na_values_synth.csv"
