@@ -24,8 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import (
-    InvalidParameterError, ZeroToleranceError, _as_finite_array, _as_int, _Choice, _from_unit_scale,
-    _unit_scale,
+    InvalidParameterError, ZeroToleranceError, _as_finite_array, _as_int, _Choice, _freeze,
+    _from_unit_scale, _unit_scale,
 )
 
 # Distance blocks hold _BLOCK_ROWS sorted templates at a time and never more
@@ -69,7 +69,7 @@ class ApenParams:
     r_value: float = 0.2
 
     def __post_init__(self):
-        object.__setattr__(self, "r_mode", RMode(self.r_mode))
+        _freeze(self, r_mode=RMode)
         object.__setattr__(self, "m", _as_int(self.m, "m must be an integer >= 1", low=1))
         r = float(_as_finite_array(self.r_value, name="r_value", ndim=0))
         if r <= 0.0:

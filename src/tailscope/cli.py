@@ -6,7 +6,8 @@ Inputs are Yahoo-style price CSVs (Date/Close) or bare one-column ``value``
 files such as those written by ``synth``. Assets are processed
 independently: one bad input never aborts the rest.
 
-Exit codes: 0 success, 1 at least one asset failed, 2 configuration error.
+Exit codes: 0 success, 1 at least one asset or the one output of report or
+synth failed, 2 configuration error.
 """
 
 from __future__ import annotations
@@ -428,7 +429,10 @@ def _resolve(args: argparse.Namespace) -> None:
     if "p" in args:
         args.orders = (args.p,) if args.p is not None else (1, 2, 3, 4)
     args.out = Path(args.out)
-    args.out.mkdir(parents=True, exist_ok=True)
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except (OSError, ValueError) as exc:  # a file in the way, say, or a NUL byte
+        raise ConfigError(f"--out {str(args.out)!r} cannot be created: {exc}") from None
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -547,7 +551,11 @@ def main(argv=None) -> int:
     except (ConfigError, InvalidParameterError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    return args.run(args)
+    try:
+        return args.run(args)
+    except (TailscopeError, OSError) as exc:  # report's table or synth's sample
+        print(f"{args.command}: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return EXIT_PARTIAL
 
 
 if __name__ == "__main__":

@@ -135,14 +135,18 @@ def _as_int(value, message: str, *, low=-math.inf, high=math.inf) -> int:
     return int(value)
 
 
-def _freeze(obj, **dtypes) -> None:
-    """Replace each named field of the frozen dataclass ``obj`` with a
-    read-only copy of the given dtype; a float64 field converts as
-    ``_as_float64`` does, naming the field."""
-    for field, dtype in dtypes.items():
+def _freeze(obj, **kinds) -> None:
+    """Convert each named field of the frozen dataclass ``obj``, in the order
+    given: a ``_Choice`` enum or ``tuple`` is called on the value, and a numpy
+    dtype gives a read-only copy of that dtype (float64 converts as
+    ``_as_float64`` does, naming the field)."""
+    for field, kind in kinds.items():
         value = getattr(obj, field)
-        if dtype is np.float64:
-            value = _as_float64(value, field)
-        arr = np.array(value, dtype=dtype)
-        arr.setflags(write=False)
-        object.__setattr__(obj, field, arr)
+        if issubclass(kind, np.generic):
+            if kind is np.float64:
+                value = _as_float64(value, field)
+            value = np.array(value, dtype=kind)
+            value.setflags(write=False)
+        else:
+            value = kind(value)
+        object.__setattr__(obj, field, value)

@@ -77,8 +77,8 @@ class MefCurve:
     shape: MefShape
 
     def __post_init__(self):
-        object.__setattr__(self, "shape", MefShape(self.shape))
-        _freeze(self, thresholds=np.float64, mean_excess=np.float64, exceedances=np.int64)
+        _freeze(self, shape=MefShape, thresholds=np.float64, mean_excess=np.float64,
+                exceedances=np.int64)
 
     def __len__(self) -> int:
         return int(self.thresholds.size)
@@ -93,8 +93,7 @@ class MaxSumTrace:
     verdict: Verdict
 
     def __post_init__(self):
-        object.__setattr__(self, "verdict", Verdict(self.verdict))
-        _freeze(self, ratios=np.float64)
+        _freeze(self, verdict=Verdict, ratios=np.float64)
 
     def __len__(self) -> int:
         return int(self.ratios.size)

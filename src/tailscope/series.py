@@ -17,7 +17,7 @@ from __future__ import annotations
 import csv
 import datetime as dt
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -47,44 +47,59 @@ class ReturnKind(_Choice):
     ABSOLUTE = "absolute"
 
 
-def _check_dates(dates: tuple[dt.date, ...]) -> None:
-    for day in dates:
-        if type(day) is not dt.date:  # a datetime's day is not a calendar day
-            raise InvalidParameterError(
-                f"dates must be datetime.date objects, not {type(day).__name__}"
-            )
-    if all(map(operator.lt, dates, dates[1:])):
-        return
-    for prev, cur in zip(dates, dates[1:]):
-        if cur == prev:
-            raise DuplicateDateError(f"duplicate date {cur.isoformat()}")
-        if cur < prev:
-            raise InvalidParameterError("dates must be strictly increasing")
-
-
 def _ordinals(dates: tuple[dt.date, ...]) -> np.ndarray:
     """Day numbers of ``dates``; day 1, 0001-01-01, is a Monday."""
     return np.fromiter(map(dt.date.toordinal, dates), dtype=np.int64, count=len(dates))
 
 
+class _DatedSeries:
+    """What the dated series types share: their checks, ``len`` and value
+    equality over the fields that compare. It declares no fields."""
+
+    def _check(self, name: str) -> None:
+        """Check, in this order, that ``dates`` and the ``name`` array have equal
+        lengths, that the dates are ``datetime.date`` objects in strictly
+        increasing order, and that the array is finite."""
+        arr, dates = getattr(self, name), self.dates
+        if len(dates) != arr.size:
+            raise InvalidParameterError(f"dates and {name} must have equal length")
+        for day in dates:
+            if type(day) is not dt.date:  # a datetime's day is not a calendar day
+                raise InvalidParameterError(
+                    f"dates must be datetime.date objects, not {type(day).__name__}"
+                )
+        if not all(map(operator.lt, dates, dates[1:])):
+            for prev, cur in zip(dates, dates[1:]):
+                if cur == prev:
+                    raise DuplicateDateError(f"duplicate date {cur.isoformat()}")
+                if cur < prev:
+                    raise InvalidParameterError("dates must be strictly increasing")
+        _as_finite_array(arr, name=name)
+
+    def __len__(self) -> int:
+        return len(self.dates)
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, type(self)):
+            return NotImplemented
+        compared = [f.name for f in fields(self) if f.compare]
+        pairs = [(getattr(self, name), getattr(other, name)) for name in compared]
+        return all(np.array_equal(a, b) if isinstance(a, np.ndarray) else a == b for a, b in pairs)
+
+
 @dataclass(frozen=True, eq=False)
-class PriceSeries:
+class PriceSeries(_DatedSeries):
     """Closing prices at a declared sampling frequency, strictly date-sorted."""
 
     asset_id: str
     frequency: Frequency
     dates: tuple[dt.date, ...]
     closes: np.ndarray
-    dropped_rows: int = 0  # ingestion metadata; not part of equality
+    dropped_rows: int = field(default=0, compare=False)  # ingestion metadata
 
     def __post_init__(self):
-        object.__setattr__(self, "frequency", Frequency(self.frequency))
-        object.__setattr__(self, "dates", tuple(self.dates))
-        _freeze(self, closes=np.float64)
-        if len(self.dates) != self.closes.size:
-            raise InvalidParameterError("dates and closes must have equal length")
-        _check_dates(self.dates)
-        _as_finite_array(self.closes, name="closes")
+        _freeze(self, frequency=Frequency, dates=tuple, closes=np.float64)
+        self._check("closes")
         bad = np.flatnonzero(self.closes <= 0.0)
         if bad.size:
             day = self.dates[int(bad[0])]
@@ -92,22 +107,9 @@ class PriceSeries:
                 f"{day.isoformat()}: close {float(self.closes[bad[0]])!r} is not positive"
             )
 
-    def __len__(self) -> int:
-        return len(self.dates)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PriceSeries):
-            return NotImplemented
-        return (
-            self.asset_id == other.asset_id
-            and self.frequency is other.frequency
-            and self.dates == other.dates
-            and np.array_equal(self.closes, other.closes)
-        )
-
 
 @dataclass(frozen=True, eq=False)
-class ReturnSeries:
+class ReturnSeries(_DatedSeries):
     """Log-returns derived from a price series, dated at the later observation."""
 
     asset_id: str
@@ -117,30 +119,10 @@ class ReturnSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "frequency", Frequency(self.frequency))
-        object.__setattr__(self, "kind", ReturnKind(self.kind))
-        object.__setattr__(self, "dates", tuple(self.dates))
-        _freeze(self, values=np.float64)
-        if len(self.dates) != self.values.size:
-            raise InvalidParameterError("dates and values must have equal length")
-        _check_dates(self.dates)
-        _as_finite_array(self.values)
+        _freeze(self, frequency=Frequency, kind=ReturnKind, dates=tuple, values=np.float64)
+        self._check("values")
         if self.kind is ReturnKind.ABSOLUTE and (self.values < 0.0).any():
             raise InvalidParameterError("absolute returns cannot be negative")
-
-    def __len__(self) -> int:
-        return len(self.dates)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ReturnSeries):
-            return NotImplemented
-        return (
-            self.asset_id == other.asset_id
-            and self.frequency is other.frequency
-            and self.kind is other.kind
-            and self.dates == other.dates
-            and np.array_equal(self.values, other.values)
-        )
 
 
 def _read_csv(path: Path, asset_id: str, *, dated: bool = False) -> PriceSeries | np.ndarray:
@@ -259,13 +241,8 @@ def fill_weekend(series: PriceSeries) -> PriceSeries:
     # Each calendar day takes the close of the last observation on or before it.
     latest = np.searchsorted(days, np.arange(days[0], days[-1] + 1), side="right") - 1
     first, last = np.datetime64(series.dates[0], "D"), np.datetime64(series.dates[-1], "D")
-    return PriceSeries(
-        series.asset_id,
-        Frequency.DAILY,
-        np.arange(first, last + 1).tolist(),
-        series.closes[latest],
-        dropped_rows=series.dropped_rows,
-    )
+    dates = np.arange(first, last + 1).tolist()
+    return replace(series, dates=dates, closes=series.closes[latest])
 
 
 def resample(series: PriceSeries, target: Frequency) -> PriceSeries:
@@ -286,13 +263,8 @@ def resample(series: PriceSeries, target: Frequency) -> PriceSeries:
     else:
         period = np.array([day.year * 12 + day.month for day in series.dates])
     last = np.flatnonzero(np.append(period[1:] != period[:-1], True))
-    return PriceSeries(
-        series.asset_id,
-        target,
-        [series.dates[i] for i in last.tolist()],
-        series.closes[last],
-        dropped_rows=series.dropped_rows,
-    )
+    dates = [series.dates[i] for i in last.tolist()]
+    return replace(series, frequency=target, dates=dates, closes=series.closes[last])
 
 
 def log_returns(series: PriceSeries, kind: ReturnKind = ReturnKind.SIGNED) -> ReturnSeries:

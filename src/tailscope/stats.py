@@ -83,9 +83,7 @@ class RollingSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "statistic", RollingStatistic(self.statistic))
-        object.__setattr__(self, "dates", tuple(self.dates))
-        _freeze(self, values=np.float64)
+        _freeze(self, statistic=RollingStatistic, dates=tuple, values=np.float64)
         if len(self.dates) != self.values.size:
             raise InvalidParameterError("dates and values must have equal length")
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameterError, _as_finite_array, _as_int, _Choice
+from .errors import InvalidParameterError, _as_finite_array, _as_int, _Choice, _freeze
 
 
 class Family(_Choice):
@@ -61,7 +61,7 @@ class GeneratorSpec:
     x_min: float = 1.0
 
     def __post_init__(self):
-        object.__setattr__(self, "family", Family(self.family))
+        _freeze(self, family=Family)
         object.__setattr__(self, "n", _as_int(self.n, "n must be an integer >= 1", low=1))
         seed = _as_int(self.seed, "seed must be a non-negative integer", low=0)
         object.__setattr__(self, "seed", seed)

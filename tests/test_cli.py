@@ -36,6 +36,16 @@ def price_file(tmp_path):
     return write_prices(tmp_path, "btc.csv", rows)
 
 
+COMMANDS = ["ingest", "report", "stats", "apen", "mef", "maxsum", "rolling", "synth"]
+
+
+def command_argv(command, price_file):
+    """A valid argv for ``command`` without --out; synth reads no input."""
+    if command == "synth":
+        return ["synth", "--family", "exponential", "--n", "5", "--seed", "1"]
+    return [command, f"btc={price_file}"]
+
+
 def read_rows(path):
     with path.open(newline="", encoding="utf-8") as fh:
         return list(csv.DictReader(fh))
@@ -284,6 +294,44 @@ class TestConfigErrors:
         assert main(argv) == EXIT_CONFIG
         assert capsys.readouterr() == ("", "error: --label 'a\\x00b' holds a NUL byte\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_with_a_nul_exits_two_and_writes_nothing(
+        self, tmp_path, price_file, capsys, command
+    ):
+        out = tmp_path / "o\0ut"
+        assert main([*command_argv(command, price_file), "--out", str(out)]) == EXIT_CONFIG
+        message = f"error: --out {str(out)!r} cannot be created: embedded null byte\n"
+        assert capsys.readouterr() == ("", message)
+        assert [path.name for path in tmp_path.iterdir()] == ["btc.csv"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_naming_a_file_exits_two_and_writes_nothing(
+        self, tmp_path, price_file, capsys, command
+    ):
+        out = tmp_path / "taken"
+        out.write_text("kept")
+        assert main([*command_argv(command, price_file), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out {str(out)!r} cannot be created: ")
+        assert captured.err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["btc.csv", "taken"]
+        assert out.read_text() == "kept"
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_out_under_a_file_exits_two_and_writes_nothing(
+        self, tmp_path, price_file, capsys, command
+    ):
+        (tmp_path / "taken").write_text("kept")
+        out = tmp_path / "taken" / "sub"
+        assert main([*command_argv(command, price_file), "--out", str(out)]) == EXIT_CONFIG
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: --out {str(out)!r} cannot be created: ")
+        assert captured.err.count("\n") == 1
+        assert sorted(path.name for path in tmp_path.iterdir()) == ["btc.csv", "taken"]
+        assert (tmp_path / "taken").read_text() == "kept"
 
     def test_returns_from_bare_sample_fails(self, tmp_path):
         main(["synth", "--family", "gaussian", "--n", "50", "--seed", "1", "--out", str(tmp_path)])
@@ -541,6 +589,24 @@ class TestAtomicWrite:
         assert main(argv) == EXIT_PARTIAL
         assert capsys.readouterr().err == "btc: OSError: no space left on device\n"
         assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+
+    @pytest.mark.parametrize("command, name", [
+        ("report", "report_daily.csv"),
+        ("synth", "exponential_na_values_synth.csv"),
+    ])
+    def test_a_run_output_that_cannot_be_written_exits_one(
+        self, tmp_path, price_file, capsys, command, name
+    ):
+        out = tmp_path / "out"
+        (out / name).mkdir(parents=True)  # a directory where the file goes
+        assert main([*command_argv(command, price_file), "--out", str(out)]) == EXIT_PARTIAL
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"{command}: IsADirectoryError: ")
+        assert captured.err.count("\n") == 1
+        assert [path.name for path in out.iterdir()] == [name]
+        assert list((out / name).iterdir()) == []
 
 
 class TestStartup:

@@ -12,6 +12,8 @@ from tailscope.errors import (
     TooShortError,
 )
 from tailscope.evt import (
+    MaxSumTrace,
+    MefCurve,
     MefShape,
     Verdict,
     classify_shape,
@@ -266,3 +268,20 @@ class TestMaxToSum:
         values[0] = 5.0  # final 5/104 ~ 0.048
         assert max_to_sum(values, 1).verdict is Verdict.INCONCLUSIVE
 
+
+
+class TestConstruction:
+    """A bad enum field is reported before a bad array field."""
+
+    def test_mef_curve_reports_its_shape_first(self):
+        with pytest.raises(InvalidParameterError, match="MefShape must be one of"):
+            MefCurve(["x"], [1.0], [1], 3, "bogus")
+
+    def test_max_sum_trace_reports_its_verdict_first(self):
+        with pytest.raises(InvalidParameterError, match="Verdict must be one of"):
+            MaxSumTrace(2, ["x"], "bogus")
+
+    def test_enum_fields_are_converted(self):
+        curve = MefCurve([1.0], [1.0], [1], 0, "constant")
+        trace = MaxSumTrace(2, [1.0], "converging")
+        assert curve.shape is MefShape.CONSTANT and trace.verdict is Verdict.CONVERGING

@@ -25,6 +25,7 @@ from tailscope.series import (
     Frequency,
     PriceSeries,
     ReturnKind,
+    ReturnSeries,
     fill_weekend,
     ingest_csv,
     log_returns,
@@ -440,6 +441,58 @@ class TestPriceSeries:
         a = make_series([1.0, 2.0])
         b = PriceSeries("test", Frequency.DAILY, a.dates, a.closes, dropped_rows=7)
         assert a == b
+
+
+
+def make_returns(**changes):
+    fields = {"asset_id": "test", "frequency": Frequency.DAILY, "kind": ReturnKind.SIGNED,
+              "dates": (D(2020, 1, 2), D(2020, 1, 3)), "values": [0.5, 0.5], **changes}
+    return ReturnSeries(**fields)
+
+
+class TestValueEquality:
+    """Both series types compare by value over every field but
+    ``dropped_rows`` (see TestPriceSeries), never equal another type, and
+    are unhashable."""
+
+    @pytest.mark.parametrize("change", [
+        {"asset_id": "y"},
+        {"frequency": Frequency.WEEKLY},
+        {"dates": (D(2020, 1, 1), D(2020, 1, 3))},
+        {"closes": [1.0, 2.5]},
+    ], ids=lambda change: next(iter(change)))
+    def test_price_series_differing_in_one_field_are_not_equal(self, change):
+        fields = {"asset_id": "x", "frequency": Frequency.DAILY,
+                  "dates": (D(2020, 1, 1), D(2020, 1, 2)), "closes": [1.0, 2.0]}
+        a = PriceSeries(**fields)
+        b = PriceSeries(**{**fields, **change})
+        assert a != b and not a == b
+
+    @pytest.mark.parametrize("change", [
+        {"asset_id": "y"},
+        {"frequency": Frequency.MONTHLY},
+        {"kind": ReturnKind.ABSOLUTE},
+        {"dates": (D(2020, 1, 2), D(2020, 1, 4))},
+        {"values": [0.5, 0.25]},
+    ], ids=lambda change: next(iter(change)))
+    def test_return_series_differing_in_one_field_are_not_equal(self, change):
+        a = make_returns()
+        assert a == make_returns()
+        b = make_returns(**change)
+        assert a != b and not a == b
+
+    def test_a_series_never_equals_another_type(self):
+        dates = (D(2020, 1, 1), D(2020, 1, 2))
+        prices = PriceSeries("x", Frequency.DAILY, dates, [1.0, 2.0])
+        returns = ReturnSeries("x", Frequency.DAILY, ReturnKind.SIGNED, dates, [1.0, 2.0])
+        for series in (prices, returns):
+            assert series != tuple(vars(series).values())
+        assert prices != returns and returns != prices
+
+    def test_series_are_unhashable(self):
+        for series in (make_series([1.0, 2.0]), make_returns()):
+            with pytest.raises(TypeError):
+                hash(series)
 
 
 class TestFillWeekend:
