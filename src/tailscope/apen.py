@@ -28,12 +28,13 @@ from .errors import (
     _from_unit_scale, _unit_scale,
 )
 
-# Distance blocks hold _BLOCK_ROWS sorted templates at a time and never more
-# than _CHUNK_CELLS float64 cells (~32 MB), whatever N is. A block of sorted
-# rows spans its own rows' columns and then the half band past them, while
-# each block also costs a fixed twenty-odd numpy calls: 64 rows balances the
-# two, and a series shorter than two blocks is one block.
-_BLOCK_ROWS = 64
+# Match blocks hold _BLOCK_ROWS sorted templates at a time and never more
+# than _CHUNK_CELLS cells of 4 bytes (~16 MB), whatever N is. A block of
+# sorted rows spans its own rows' columns and then the half band past them,
+# while each block also costs a fixed twenty-odd numpy calls: 128 rows
+# balances the two (a sweep of 64 to 256 rows on the bench series), and a
+# series shorter than two blocks is one block.
+_BLOCK_ROWS = 128
 _CHUNK_CELLS = 4_194_304
 # Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and fills
 # their distances a slab of rows at a time. A slab holds at most an eighth of
@@ -46,11 +47,11 @@ _CHUNK_CELLS = 4_194_304
 _ROLLING_WINDOWS = 48
 _ROLLING_CELLS = 262_144
 _DENSE_RATIO = 8
-_EPS = float(np.finfo(np.float64).eps)
 # Testing a block for columns that match all its rows and gathering the
-# rest cost ~20 us per block and ~4 cells per column, at ~9 ns per cell, on a
-# 2-vCPU VM (numpy 2.4). _gathers asks for four times that per column, so a
-# block whose gather would only break even stays whole.
+# rest cost ~20 us per block and ~4 cells per column on a 2-vCPU VM (numpy
+# 2.4). _gathers asks for four times that per column, so a block whose
+# gather would only break even stays whole. The bench series run within 2%
+# of each other at a quarter and at four times these constants.
 _GATHER_CELLS = 16
 _GATHER_FIXED = 2_000
 
@@ -121,48 +122,45 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     compared with the columns from start to the end of its last row's band.
     Its row sums go to its own templates, and its column sums past stop to
     those templates; the [start, stop) square holds both orders of each of
-    its pairs already. The distances over the first m coordinates give the
+    its pairs already. The matches over the first m coordinates give the
     m counts before the (m+1)-th coordinate is folded in for the m + 1
-    counts. The window gets one trailing NaN, so the last m-template has an
-    (m+1)-th coordinate that matches nothing, not even itself.
+    counts. The last m-template's (m+1)-th coordinate lies past the series:
+    it has an empty run, so it matches nothing, not even itself.
+
+    Cells are compared in rank space (``_runs``): a template's coordinate
+    matches a column's when the column's rank lies in the template's run, a
+    test on narrow integers that gives the same answer as the float one.
 
     A block whose rows lie close together, as on a price plateau, can have
     columns past its square within r of every row in every coordinate.
     Those match every row at m and at m + 1, so they are counted for the
-    whole block without computing a cell (``_unmatched``), and only the
+    whole block without comparing a cell (``_unmatched``), and only the
     square and the other columns are compared, gathered, when that pays.
     Counts are exact integers and are scattered back to template order, so
     the logarithms are summed in the same order as a dense count and the
     result is the same to the bit.
     """
     t = arr.size - m + 1
-    ext = np.append(arr, np.nan)
-    order = np.argsort(arr[:t], kind="stable")
-    coords = ext[np.arange(m + 1)[:, None] + order]
-    # A few ulps of slack keep every pair whose rounded |u_i - u_j| <= r
-    # inside the band; the exact check below decides each pair.
-    pad = r + 4.0 * _EPS * (1.0 + r)  # on the unit scale no value reaches 1
-    hi = np.searchsorted(coords[0], coords[0] + pad, side="right")
+    order, ranks, lo, width = _runs(arr, t, m, r)
+    hi = np.searchsorted(ranks[0], lo[0] + width[0])
     rows = t if t < 2 * _BLOCK_ROWS else max(1, min(_BLOCK_ROWS, _CHUNK_CELLS // t))
     starts = np.arange(0, t, rows)
     stops = np.minimum(starts + rows, t)
     ends = hi[stops - 1]
     cells = int(((stops - starts) * (ends - starts)).max())
-    buffers = np.empty(cells), np.empty(cells)  # distances, scratch
-    within_buf = np.empty(cells, dtype=bool)
-    # corners[b]: block b's least and greatest value in each coordinate. A
-    # column matches every row of the block if it lies within r of both in
-    # every coordinate: inside a window 2r - span wide in the block's widest
-    # coordinate, where the block's candidates (the columns from stop to the
-    # end of its first row's band) spread over about 2r. A block is tested
-    # only if that share of its candidates would pay for the gather; a NaN
-    # span, the last template's, never does.
-    lo = np.minimum.reduceat(coords, starts, axis=1)
-    top = np.maximum.reduceat(coords, starts, axis=1)
-    share = 1.0 - np.max(top - lo, axis=0) / (2.0 * r)
+    buffers = np.empty(cells, ranks.dtype), np.empty(cells, bool), np.empty(cells, bool)
+    # Block b's rows all hold the ranks [floor, floor + room) in their runs
+    # in each coordinate: a column matches every row of the block just when
+    # its ranks lie there. Its candidates (the columns from stop to the end
+    # of its first row's band) spread over about one run, so a block is
+    # tested only if the share of a run that it holds would pay for the
+    # gather; a block holding the last template's empty run never does.
+    floor = np.maximum.reduceat(lo, starts, axis=1)
+    top = np.minimum.reduceat(lo + width, starts, axis=1)
+    room = top - np.minimum(floor, top)
+    share = np.min(room / np.maximum(width[:, starts], 1), axis=0)
     candidates = np.maximum(hi[starts] - stops, 0)
     promising = _gathers(stops - starts, ends - starts, candidates * share).tolist()
-    corners = np.stack((lo, top)).transpose(2, 0, 1)[..., None]
     # No count exceeds t, so the narrowest unsigned type that holds t holds
     # every count, and every partial sum of it, exactly; the match mask,
     # viewed as uint8, sums into it without a cast to a wider type.
@@ -171,22 +169,18 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     # Each has ``rows`` rows: only the last block can have fewer, and it has
     # no columns past its square.
     whole = np.zeros(t, dtype=counts.dtype)
-    by_row = list(coords)  # a list of rows indexes faster than the array
-    blocks = zip(starts.tolist(), stops.tolist(), ends.tolist(), promising, corners)
-    for start, stop, end, promise, corner in blocks:
+    blocks = zip(starts.tolist(), stops.tolist(), ends.tolist(), promising, floor.T, room.T)
+    for start, stop, end, promise, least, span in blocks:
         h, cols = stop - start, None
         if promise:
-            cols = _unmatched(coords, corner, r, start, stop, end, int(hi[start]), counts, whole)
+            cols = _unmatched(ranks, least, span, start, stop, end, int(hi[start]), counts, whole)
         if cols is None:
-            block, first, n, past = by_row, start, end - start, slice(stop, end)
+            block, past = ranks[:, start:end], slice(stop, end)
         else:
-            block, first, n, past = np.take(coords, cols, axis=1), 0, cols.size, cols[h:]
-        within = within_buf[: h * n].reshape(h, n)
-        matches = within.view(np.uint8)
-        slab = _distances(block, slice(first, first + h), slice(first, first + n), *buffers)
-        for level, dist in enumerate(slab):
-            np.less_equal(dist, r, out=within)
-            _add_matches(matches, counts[level], slice(start, stop), past)
+            block, past = np.take(ranks, cols, axis=1), cols[h:]
+        rows_lo, rows_width = lo[:, start:stop], width[:, start:stop]
+        for level, within in enumerate(_matches(block, rows_lo, rows_width, *buffers)):
+            _add_matches(within.view(np.uint8), counts[level], slice(start, stop), past)
     np.multiply(whole, rows, out=whole)
     counts += whole
     counts[:, order] = counts.copy()
@@ -194,20 +188,56 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     return float(_phi(counts[:1], phi_buf)[0]), float(_phi(counts[1:, : t - 1], phi_buf)[0])
 
 
-def _unmatched(coords, corner, r, start, stop, end, last, counts, whole):
+def _runs(arr: np.ndarray, t: int, m: int, r: float):
+    """``(order, ranks, lo, width)`` of the t templates of ``arr``.
+
+    ``order`` sorts the templates by their first coordinate, stably. With s
+    the stably sorted values, rounding is monotone, so the values within r of
+    s[i] (fl(|s[i] - s[j]|) <= r) are one run of ranks [lo, lo + width)
+    around i. ranks[k, p], lo[k, p] and width[k, p] are the rank and run of
+    the k-th coordinate of the p-th sorted template; one past the series
+    has rank N and an empty run. They are unsigned integers that hold N, so a
+    rank below lo wraps to at least 2**bits - lo > N - lo >= width, and
+    ``rank - lo < width`` tests the run exactly.
+    """
+    n = arr.size
+    sort = np.argsort(arr, kind="stable")
+    s = arr[sort]
+    # fl(s[i] + r) puts each run's end within a few ulps of its place; the
+    # steps below move it there, past one distinct value at a time: in while
+    # its last value fails, then out while the next one passes.
+    end = np.searchsorted(s, s + r, side="right")
+    step = np.flatnonzero(s[end - 1] - s > r)
+    while step.size:
+        end[step] = np.searchsorted(s, s[end[step] - 1])
+        step = step[s[end[step] - 1] - s[step] > r]
+    step = np.flatnonzero(end < n)
+    while (step := step[s[end[step]] - s[step] <= r]).size:
+        end[step] = np.searchsorted(s, s[end[step]], side="right")
+        step = step[end[step] < n]
+    # The distance is symmetric, so j < i is in i's run just when i < end[j].
+    start = np.searchsorted(end, np.arange(n), side="right")
+    dtype = np.min_scalar_type(n)
+    by_index = np.empty((3, n + 1), dtype)  # rank, lo and width of arr[i]
+    by_index[:, sort] = np.arange(n), start, end - start
+    by_index[:, n] = n, n, 0
+    order = sort[sort < t]
+    ranks, lo, width = by_index[:, np.arange(m + 1)[:, None] + order]
+    return order, ranks, lo, width
+
+
+def _unmatched(ranks, floor, room, start, stop, end, last, counts, whole):
     """The columns that block [start, stop) must still compare cell by cell,
     as indices with the block's own square first; or None, with nothing
     counted, when the cells saved would not pay for the gather.
 
-    With lo and hi the block's least and greatest value in a coordinate
-    (``corner``), a column j in [stop, last) with fl(c[j] - lo) <= r and
-    fl(hi - c[j]) <= r in every coordinate c is within r of every row, as
-    rounding is monotone: it matches every row at m and at m + 1. Each row's
-    counts gain the number of such columns, and each one's ``whole`` one.
+    A column j in [stop, last) whose rank lies in [floor, floor + room) in
+    every coordinate lies in every row's run there (see _phi_pair): it
+    matches every row at m and at m + 1. Each row's counts gain the number
+    of such columns, and each one's ``whole`` one.
     """
-    # |c - lo| <= r and |c - hi| <= r hold just when the two tests above do.
-    gap = coords[:, stop:last] - corner
-    full = np.abs(gap, out=gap).max(axis=(0, 1)) <= r
+    gap = ranks[:, stop:last] - floor[:, None]  # wraps below floor, as in _runs
+    full = np.less(gap, room[:, None]).all(axis=0)
     k = int(np.count_nonzero(full))
     h = stop - start
     if not _gathers(h, end - start, k):
@@ -228,10 +258,30 @@ def _gathers(h, n, k):
     return h * k > _GATHER_CELLS * n + _GATHER_FIXED
 
 
+def _matches(ranks, lo, width, diff_buf, mask_buf, scratch_buf):
+    """Yield whether each row matches each column over the first m of the
+    m + 1 coordinates, then over all: one boolean array, filled in place in
+    ``mask_buf``. Row i's k-th coordinate matches column j's when
+    ranks[k, j] - lo[k, i] < width[k, i] in their unsigned type (see _runs)."""
+    shape = (lo.shape[1], ranks.shape[1])
+    diff = diff_buf[: shape[0] * shape[1]].reshape(shape)
+    within = mask_buf[: diff.size].reshape(shape)
+    scratch = scratch_buf[: diff.size].reshape(shape)
+    for k in range(len(ranks)):
+        if k == len(ranks) - 1:
+            yield within
+        np.subtract(ranks[k], lo[k, :, None], out=diff)
+        np.less(diff, width[k, :, None], out=scratch if k else within)
+        if k:
+            np.logical_and(within, scratch, out=within)
+    yield within
+
+
 def _distances(coords, rows: slice, cols: slice, dist_buf, diff_buf):
     """Yield the Chebyshev distances of templates ``rows`` to ``cols`` over
     the first m of the m + 1 ``coords``, then over all: one array, filled in
-    place in ``dist_buf``, with ``diff_buf`` as scratch."""
+    place in ``dist_buf``, with ``diff_buf`` as scratch. Rolling ApEn's only;
+    whole-series ApEn compares ranks (``_matches``)."""
     shape = (rows.stop - rows.start, cols.stop - cols.start)
     dist = dist_buf[: shape[0] * shape[1]].reshape(shape)
     diff = diff_buf[: dist.size].reshape(shape)
@@ -273,13 +323,14 @@ def apen(values, params: ApenParams | None = None) -> float:
         give bit-identical output. Templates are sorted by their first
         coordinate and each is compared only with those in its band of
         width 2r, counting m and m + 1 matches in one pass (Manis, 2008).
-        The distance is symmetric, so each unordered pair is compared once:
-        O(N log N) plus O(N * (band / 2 + 64) * m) time, where band is the
-        number of templates whose first coordinate lies within r, less
-        those that match all 64 templates of a sorted block at once, which
-        cost O(m) per block instead (as on a price plateau), and bounded
-        memory. The result is bit-identical to a dense N x N count, and the
-        same at every power-of-two scale of the input.
+        The distance is symmetric, so each unordered pair is compared once,
+        on the ranks of the values rather than the values: O(N log N) plus
+        O(N * (band / 2 + 128) * m) time, where band is the number of
+        templates whose first coordinate lies within r, less those that
+        match all 128 templates of a sorted block at once, which cost O(m)
+        per block instead (as on a price plateau), and bounded memory. The
+        result is bit-identical to a dense N x N count, and the same at
+        every power-of-two scale of the input.
     """
     p = params if params is not None else ApenParams()
     unit, e = _unit_scale(_as_finite_array(values, min_n=p.min_length))

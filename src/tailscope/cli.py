@@ -369,15 +369,23 @@ def _parse_inputs(raw: list[str]) -> list[tuple[str, Path]]:
             asset, path = Path(item).stem, item
         if not asset:
             raise ConfigError(f"empty asset id in {item!r}")
-        if any(sep and sep in asset for sep in (os.sep, os.altsep)):
-            raise ConfigError(f"asset id {asset!r} holds a path separator")
-        if "\0" in item:  # in the asset id or the path: no file name holds one
-            raise ConfigError(f"input {item!r} holds a NUL byte")
+        _check_name("asset id", asset, ("input", item))  # a NUL in the path too
         if asset in seen:
             raise ConfigError(f"duplicate asset id {asset!r}")
         seen.add(asset)
         inputs.append((asset, Path(path)))
     return inputs
+
+
+def _check_name(what: str, name: str, source: tuple[str, str] | None = None) -> None:
+    """Raise ConfigError if ``name``, which names output files, holds a path
+    separator, or if a NUL byte is in it or in the ``source`` argument, a
+    (what, text) pair, that it was parsed from."""
+    if any(sep and sep in name for sep in (os.sep, os.altsep)):
+        raise ConfigError(f"{what} {name!r} holds a path separator")
+    origin, text = source or (what, name)
+    if "\0" in text:
+        raise ConfigError(f"{origin} {text!r} holds a NUL byte")
 
 
 def _seed(flag: int | None) -> int:
@@ -395,10 +403,8 @@ def _resolve(args: argparse.Namespace) -> None:
     then create --out. Raises ConfigError, or InvalidParameterError from the
     library constructors and ``generate``, which check the parameters."""
     if args.command == "synth":
-        if args.label and any(sep and sep in args.label for sep in (os.sep, os.altsep)):
-            raise ConfigError(f"--label {args.label!r} holds a path separator")
-        if args.label and "\0" in args.label:
-            raise ConfigError(f"--label {args.label!r} holds a NUL byte")
+        if args.label:
+            _check_name("--label", args.label)
         params = ("mu", "sigma", "lam", "xi", "beta", "alpha", "x_min")
         args.spec = GeneratorSpec(args.family, args.n, _seed(args.seed),
                                   **{name: getattr(args, name) for name in params})

@@ -135,18 +135,25 @@ def _as_int(value, message: str, *, low=-math.inf, high=math.inf) -> int:
     return int(value)
 
 
-def _freeze(obj, **kinds) -> None:
+def _freeze(obj, same_length=(), **kinds) -> None:
     """Convert each named field of the frozen dataclass ``obj``, in the order
     given: a ``_Choice`` enum or ``tuple`` is called on the value, and a numpy
-    dtype gives a read-only copy of that dtype (float64 converts as
-    ``_as_float64`` does, naming the field)."""
+    dtype gives a read-only 1-D copy of that dtype (float64 converts as
+    ``_as_float64`` does, naming the field). Then the fields named in
+    ``same_length`` must have equal lengths. A field that breaks a rule
+    raises InvalidParameterError."""
     for field, kind in kinds.items():
         value = getattr(obj, field)
         if issubclass(kind, np.generic):
             if kind is np.float64:
                 value = _as_float64(value, field)
             value = np.array(value, dtype=kind)
+            if value.ndim != 1:
+                raise InvalidParameterError(f"{field} must be 1-D, got shape {value.shape}")
             value.setflags(write=False)
         else:
             value = kind(value)
         object.__setattr__(obj, field, value)
+    if len({len(getattr(obj, field)) for field in same_length}) > 1:
+        *first, last = same_length
+        raise InvalidParameterError(f"{', '.join(first)} and {last} must have equal length")

@@ -77,8 +77,8 @@ class MefCurve:
     shape: MefShape
 
     def __post_init__(self):
-        _freeze(self, shape=MefShape, thresholds=np.float64, mean_excess=np.float64,
-                exceedances=np.int64)
+        _freeze(self, ("thresholds", "mean_excess", "exceedances"), shape=MefShape,
+                thresholds=np.float64, mean_excess=np.float64, exceedances=np.int64)
 
     def __len__(self) -> int:
         return int(self.thresholds.size)

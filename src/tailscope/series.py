@@ -57,12 +57,10 @@ class _DatedSeries:
     equality over the fields that compare. It declares no fields."""
 
     def _check(self, name: str) -> None:
-        """Check, in this order, that ``dates`` and the ``name`` array have equal
-        lengths, that the dates are ``datetime.date`` objects in strictly
-        increasing order, and that the array is finite."""
+        """Check, after ``_freeze`` has checked that ``dates`` and the ``name``
+        array have equal lengths, that the dates are ``datetime.date`` objects
+        in strictly increasing order, and that the array is finite."""
         arr, dates = getattr(self, name), self.dates
-        if len(dates) != arr.size:
-            raise InvalidParameterError(f"dates and {name} must have equal length")
         for day in dates:
             if type(day) is not dt.date:  # a datetime's day is not a calendar day
                 raise InvalidParameterError(
@@ -98,7 +96,7 @@ class PriceSeries(_DatedSeries):
     dropped_rows: int = field(default=0, compare=False)  # ingestion metadata
 
     def __post_init__(self):
-        _freeze(self, frequency=Frequency, dates=tuple, closes=np.float64)
+        _freeze(self, ("dates", "closes"), frequency=Frequency, dates=tuple, closes=np.float64)
         self._check("closes")
         bad = np.flatnonzero(self.closes <= 0.0)
         if bad.size:
@@ -119,7 +117,8 @@ class ReturnSeries(_DatedSeries):
     values: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, frequency=Frequency, kind=ReturnKind, dates=tuple, values=np.float64)
+        _freeze(self, ("dates", "values"), frequency=Frequency, kind=ReturnKind, dates=tuple,
+                values=np.float64)
         self._check("values")
         if self.kind is ReturnKind.ABSOLUTE and (self.values < 0.0).any():
             raise InvalidParameterError("absolute returns cannot be negative")

@@ -83,9 +83,8 @@ class RollingSeries:
     values: np.ndarray
 
     def __post_init__(self):
-        _freeze(self, statistic=RollingStatistic, dates=tuple, values=np.float64)
-        if len(self.dates) != self.values.size:
-            raise InvalidParameterError("dates and values must have equal length")
+        _freeze(self, ("dates", "values"), statistic=RollingStatistic, dates=tuple,
+                values=np.float64)
 
     def __len__(self) -> int:
         return len(self.dates)

@@ -228,6 +228,17 @@ class TestBandKernel:
         assert value == pytest.approx(apen_direct(data, m, 1.0), abs=1e-12)
         assert value == apen_dense(data, m, 1.0)
 
+    @pytest.mark.parametrize("r", [0.1, 0.2, 0.3, 0.7])
+    def test_decimal_lattice_rounds_on_band_edge(self, r):
+        # Tenths are inexact, so some differences of one band width round
+        # to just above r and some to just below, whatever fl(u + r) says:
+        # the ends of the runs must be stepped into place.
+        data = np.random.default_rng(41).integers(0, 30, 400) * 0.1
+        for m in (1, 2):
+            value = apen(data, _absolute(m, r))
+            assert value == apen_dense(data, m, r), m
+            assert value == pytest.approx(apen_direct(data, m, r), abs=1e-12), m
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_minimum_length(self, m):
         data = np.array([0.3, -1.2, 0.9, 2.4, -0.5])[: m + 2]
@@ -284,15 +295,15 @@ class TestBandKernel:
 
     def test_plateau_compares_under_half_of_its_band(self, monkeypatch):
         # Most plateau columns match every row of their block: the kernel
-        # counts them without asking _distances for their cells.
+        # counts them without asking _matches to compare their cells.
         apen_module = importlib.import_module("tailscope.apen")
-        distances, asked = apen_module._distances, []
+        matches, asked = apen_module._matches, []
 
-        def counting(coords, rows, cols, *buffers):
-            asked.append((rows.stop - rows.start) * (cols.stop - cols.start))
-            return distances(coords, rows, cols, *buffers)
+        def counting(ranks, lo, width, *buffers):
+            asked.append(lo.shape[1] * ranks.shape[1])
+            return matches(ranks, lo, width, *buffers)
 
-        monkeypatch.setattr(apen_module, "_distances", counting)
+        monkeypatch.setattr(apen_module, "_matches", counting)
         data = _plateau_growth(3_650)
         value = apen(data)
         compared = sum(asked)
@@ -300,6 +311,20 @@ class TestBandKernel:
         monkeypatch.setattr(apen_module, "_GATHER_FIXED", math.inf)  # every cell compared
         assert apen(data) == value
         assert compared < sum(asked) / 2, (compared, sum(asked))
+
+    # Ranks and runs are uint16 up to 65,535 values and uint32 past that.
+    @pytest.mark.parametrize("n", [65_535, 65_536])
+    def test_exact_on_both_sides_of_the_narrow_rank_type(self, n):
+        # On a lattice with r = 0.5 templates match only when they are equal,
+        # so each count is its template's multiplicity, and np.unique gives it.
+        data = np.random.default_rng(n).integers(0, 256, n).astype(np.float64)
+
+        def phi(mm):
+            windows = np.lib.stride_tricks.sliding_window_view(data, mm)
+            counts = np.unique(windows, axis=0, return_counts=True)[1]
+            return float(np.sum(counts * np.log(counts / windows.shape[0]))) / windows.shape[0]
+
+        assert apen(data, _absolute(2, 0.5)) == pytest.approx(phi(2) - phi(3), abs=1e-12)
 
     def test_plateau_peak_memory(self):
         # The traced peak before columns that match whole blocks were counted

@@ -281,6 +281,18 @@ class TestConstruction:
         with pytest.raises(InvalidParameterError, match="Verdict must be one of"):
             MaxSumTrace(2, ["x"], "bogus")
 
+    def test_mef_curve_rejects_unequal_lengths(self):
+        with pytest.raises(InvalidParameterError, match="must have equal length"):
+            MefCurve([1.0, 2.0, 3.0], [1.0, 2.0], [1, 1, 1], 0, "constant")
+
+    def test_mef_curve_rejects_a_2d_array(self):
+        with pytest.raises(InvalidParameterError, match="thresholds must be 1-D"):
+            MefCurve([[1.0, 2.0]], [1.0, 2.0], [1, 1], 0, "constant")
+
+    def test_max_sum_trace_rejects_2d_ratios(self):
+        with pytest.raises(InvalidParameterError, match="ratios must be 1-D"):
+            MaxSumTrace(2, [[1.0, 0.5]], "converging")
+
     def test_enum_fields_are_converted(self):
         curve = MefCurve([1.0], [1.0], [1], 0, "constant")
         trace = MaxSumTrace(2, [1.0], "converging")
