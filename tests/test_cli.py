@@ -626,6 +626,40 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
+    def test_no_subcommand_needs_scipy(self, tmp_path, price_file):
+        """Every subcommand exits 0 in an interpreter where importing scipy fails."""
+        import tailscope
+
+        env = dict(os.environ)
+        src = str(Path(tailscope.__file__).resolve().parents[1])
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        code = """if True:
+            import json, sys
+            sys.modules["scipy"] = None  # any import of scipy now raises ImportError
+            from tailscope.cli import main
+            out, prices = sys.argv[1:]
+            codes, inputs = {}, [f"btc={prices}"]
+            for family in ("gaussian", "lognormal"):  # mu = 5: positive samples, as mef needs
+                argv = ["synth", "--family", family, "--mu", "5", "--n", "200", "--seed", "1"]
+                codes[family] = main([*argv, "--out", out])
+                inputs.append(f"{family}={out}/{family}_na_values_synth.csv")
+            codes["ingest"] = main(["ingest", inputs[0], "--out", out])
+            for command in ("report", "stats", "apen", "mef", "maxsum", "rolling"):
+                window = ["--window", "10"] if command == "rolling" else []  # 40 prices
+                codes[command] = main([command, *inputs, *window, "--out", out])
+            print(json.dumps(codes))
+        """
+        result = subprocess.run(
+            [sys.executable, "-c", code, str(tmp_path / "out"), str(price_file)],
+            capture_output=True, text=True, env=env,
+        )
+        assert result.returncode == 0, result.stderr
+        calls = ["gaussian", "lognormal", "ingest", "report", "stats", "apen", "mef", "maxsum",
+                 "rolling"]
+        assert json.loads(result.stdout.splitlines()[-1]) == dict.fromkeys(calls, EXIT_OK), (
+            result.stderr
+        )
+
     def test_public_names_resolve(self):
         import tailscope
 

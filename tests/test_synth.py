@@ -103,3 +103,39 @@ def test_draws_beyond_float64_raise_without_warning(kwargs):
         warnings.simplefilter("error")
         with pytest.raises(InvalidParameterError, match="exceed the float64 range"):
             generate(spec)
+
+
+def test_gpd_shape_whose_product_overflows_draws_within_its_bound():
+    """xi * e overflows to -inf for xi = -1e308, yet every draw is finite and
+    lies in [0, beta / |xi|]; only the draws themselves decide an overflow."""
+    spec = GeneratorSpec(Family.GPD, n=1_000, seed=3, xi=-1e308, beta=1e300)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values = generate(spec)
+    assert ((values >= 0.0) & (values <= 1e300 / 1e308)).all()
+
+
+def test_ndtri_port_is_bit_identical_to_scipy():
+    """The Cephes port against scipy.special.ndtri, compared as int64 bit
+    patterns so that a -0.0 or a last-bit difference counts."""
+    from scipy.special import ndtri
+
+    from tailscope.synth import _EXP_M2, _ndtri
+
+    rng = np.random.default_rng(20260901)
+    log_uniform = 10.0 ** rng.uniform(-320.0, 0.0, 200_000)
+    complements = 1.0 - 10.0 ** rng.uniform(-16.0, 0.0, 10_000)
+    k = np.arange(1.0, 2_001.0)
+    edges = [0.5, np.nextafter(1.0, 0.0)]
+    for edge in (5e-324, _EXP_M2, 1.0 - _EXP_M2, np.exp(-32.0)):
+        edges += [np.nextafter(edge, 0.0), edge, np.nextafter(edge, 1.0)]
+    u = np.concatenate([
+        rng.random(1_000_000), log_uniform, complements, k * 2.0**-53, 1.0 - k * 2.0**-53, edges,
+    ])
+    u = u[(u > 0.0) & (u < 1.0)]
+    mismatched = u[_ndtri(u).view(np.int64) != ndtri(u).view(np.int64)]
+    assert mismatched.tolist() == []
+    # Each of Cephes' three approximations is exercised: the central one and both tails.
+    y = np.minimum(u, 1.0 - u)
+    tail_x = np.sqrt(-2.0 * np.log(y[y <= _EXP_M2]))
+    assert (y > _EXP_M2).any() and (tail_x < 7.9).any() and (tail_x > 8.1).any()
