@@ -54,6 +54,14 @@ _DENSE_RATIO = 8
 # of each other at a quarter and at four times these constants.
 _GATHER_CELLS = 16
 _GATHER_FIXED = 2_000
+# Bit rows (_bit_counts) take _BIT_ROWS templates at a time (128 and 512 ran
+# within 5% of 256 on the bench series), and only where their N**2 / 8-byte
+# prefix bitset fits _BIT_BYTES (N <= 5,760) and a row, at _WORD_CELLS block
+# cells per 64-bit word, costs less than a sorted block's (_bit_rows). The
+# kernels broke even at 2.3 to 3.2 cells per word at N = 5,790 (2-vCPU VM).
+_BIT_ROWS = 256
+_BIT_BYTES = 4_194_304
+_WORD_CELLS = 3
 
 
 class RMode(_Choice):
@@ -113,7 +121,149 @@ class ApenParams:
 
 
 def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
-    """phi(m) and phi(m + 1) from one pass over sorted first-coordinate bands.
+    """phi(m) and phi(m + 1) from exact match counts of every template.
+
+    Cells are compared in rank space (``_runs``): a template's coordinate
+    matches a column's when the column's rank lies in the template's run, a
+    test on narrow integers that gives the same answer as the float one.
+    Two kernels count the matches, and ``_bit_rows`` picks the cheaper from
+    the series' length and runs: bit rows (``_bit_counts``) cost words in
+    N, sorted blocks (``_block_counts``) cells in the band. Both give the
+    exact counts in template order, so the logarithms are summed in the
+    same order as a dense count and the result is the same to the bit,
+    whichever kernel ran.
+    """
+    t = arr.size - m + 1
+    sort, by_index = _runs(arr, r)
+    if _bit_rows(by_index, m):
+        counts = _bit_counts(by_index, t, m)
+    else:
+        counts = _block_counts(sort, by_index, t, m)
+    phi_buf = np.empty(t)
+    return float(_phi(counts[:1], phi_buf)[0]), float(_phi(counts[1:, : t - 1], phi_buf)[0])
+
+
+def _runs(arr: np.ndarray, r: float):
+    """``(sort, by_index)`` of the values of ``arr``.
+
+    ``sort`` sorts the values stably. With s the stably sorted values,
+    rounding is monotone, so the values within r of s[i]
+    (fl(|s[i] - s[j]|) <= r) are one run of ranks [lo, lo + width) around
+    i. by_index[:, v] holds the rank, lo and width of arr[v]; one past the
+    series, column N, has rank N and an empty run. They are unsigned
+    integers that hold N, so a rank below lo wraps to at least
+    2**bits - lo > N - lo >= width, and ``rank - lo < width`` tests the run
+    exactly.
+    """
+    n = arr.size
+    sort = np.argsort(arr, kind="stable")
+    s = arr[sort]
+    # fl(s[i] + r) puts each run's end within a few ulps of its place; the
+    # steps below move it there, past one distinct value at a time: in while
+    # its last value fails, then out while the next one passes.
+    end = np.searchsorted(s, s + r, side="right")
+    step = np.flatnonzero(s[end - 1] - s > r)
+    while step.size:
+        end[step] = np.searchsorted(s, s[end[step] - 1])
+        step = step[s[end[step] - 1] - s[step] > r]
+    step = np.flatnonzero(end < n)
+    while (step := step[s[end[step]] - s[step] <= r]).size:
+        end[step] = np.searchsorted(s, s[end[step]], side="right")
+        step = step[end[step] < n]
+    # The distance is symmetric, so j < i is in i's run just when i < end[j].
+    start = np.searchsorted(end, np.arange(n), side="right")
+    by_index = np.empty((3, n + 1), np.min_scalar_type(n))
+    by_index[:, sort] = np.arange(n), start, end - start
+    by_index[:, n] = n, n, 0
+    return sort, by_index
+
+
+def _bit_rows(by_index, m: int) -> bool:
+    """Whether ``_phi_pair`` counts with bit rows rather than sorted blocks.
+
+    Bit rows need numpy's popcount (2.0 and later), m < 64, so that no
+    shift passes a word's 64 places, and a prefix bitset within _BIT_BYTES.
+    They cost about _WORD_CELLS cells per word of a row, ceil(N / 64) words,
+    where a sorted block costs each row about half its run and the block's
+    own rows, as in _gathers.
+    """
+    n = by_index.shape[1] - 1
+    words = -(-n // 64)
+    if not hasattr(np, "bitwise_count") or m >= 64 or (n + 1) * words * 8 > _BIT_BYTES:
+        return False
+    return _WORD_CELLS * words < by_index[2, :n].mean() / 2 + _BLOCK_ROWS
+
+
+def _bit_counts(by_index, t: int, m: int) -> np.ndarray:
+    """The m and m + 1 match counts of the t templates, in template order,
+    from bit rows.
+
+    Bit j of row R of the prefix bitset is set when value j has rank below
+    R, so row lo + width XOR row lo is the set of values in a run: those
+    within r of a value. Template i matches template j in coordinate k when
+    value i + k's set holds value j + k, bit j of that set shifted by k. A
+    template's count is the popcount of the AND of its coordinates' shifted
+    sets. No set holds a value past the series, so the AND over m (m + 1)
+    coordinates holds no column past template t - 1 (t - 2), and the last
+    template, whose (m+1)-th value has an empty run, counts 0 at m + 1, as
+    in ``_block_counts``. A row of W = ceil(N / 64) words holds bit j in
+    word j % W at place j // W, so that a row shifted by k bits is mostly
+    the same row read k words on (``_and_shifted``).
+    """
+    n = by_index.shape[1] - 1
+    words = -(-n // 64)
+    rank, lo, width = by_index
+    bit = np.arange(n)
+    prefix = np.zeros((n + 1, words), np.uint64)
+    prefix[rank[:n] + 1, bit % words] = np.uint64(1) << (bit // words).astype(np.uint64)
+    np.bitwise_or.accumulate(prefix, axis=0, out=prefix)
+    top = lo + width
+    rows = min(_BIT_ROWS, t)
+    # One spare row: a shifted view may read into it, in words it replaces.
+    near, far = np.empty((2, rows + m + 1, words), np.uint64)
+    both = np.empty((rows, words), np.uint64)
+    ones = np.empty((rows, words), np.uint8)
+    counts = np.zeros((2, t), dtype=np.min_scalar_type(t))  # as in _block_counts
+    for start in range(0, t, rows):
+        h = min(rows, t - start)
+        # Every index is in range; mode="raise" would buffer the output.
+        np.take(prefix, top[start : start + h + m], axis=0, out=near[: h + m], mode="clip")
+        np.take(prefix, lo[start : start + h + m], axis=0, out=far[: h + m], mode="clip")
+        np.bitwise_xor(near[: h + m], far[: h + m], out=near[: h + m])
+        acc = near[:h]
+        for k in range(m + 1):
+            if k:
+                _and_shifted(acc, near, k, both[:h])
+                acc = both[:h]
+            if k >= m - 1:  # the AND over m, then m + 1, coordinates
+                np.bitwise_count(acc, out=ones[:h])
+                level = counts[k - m + 1, start : start + h]
+                np.add.reduce(ones[:h], axis=1, dtype=counts.dtype, out=level)
+    return counts
+
+
+def _and_shifted(acc, rows, k: int, out) -> None:
+    """``out`` = acc AND each row of ``rows`` k rows further on, shifted by k
+    bits toward lower columns (see _bit_counts).
+
+    With k = q * W + k0, bit j + k lies k0 words on at place j // W + q, or,
+    in the last k0 words, in the first k0 words at place j // W + q + 1. The
+    first part is one contiguous run of the rows' words starting k rows and
+    k0 words on.
+    """
+    h, words = acc.shape
+    q, k0 = divmod(k, words)
+    wrap = acc[:, words - k0 :] & (rows[k : k + h, :k0] >> np.uint64(q + 1))
+    flat = rows.reshape(-1)[k * words + k0 : (k + h) * words + k0]
+    if q:
+        flat = flat >> np.uint64(q)
+    np.bitwise_and(acc.reshape(-1), flat, out=out.reshape(-1))
+    out[:, words - k0 :] = wrap
+
+
+def _block_counts(sort, by_index, t: int, m: int) -> np.ndarray:
+    """The m and m + 1 match counts of the t templates, in template order,
+    from one pass over sorted first-coordinate bands.
 
     Templates are sorted by their first coordinate, so those within r of a
     template and after it in that order form a contiguous run, whose end
@@ -127,21 +277,18 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     counts. The last m-template's (m+1)-th coordinate lies past the series:
     it has an empty run, so it matches nothing, not even itself.
 
-    Cells are compared in rank space (``_runs``): a template's coordinate
-    matches a column's when the column's rank lies in the template's run, a
-    test on narrow integers that gives the same answer as the float one.
-
     A block whose rows lie close together, as on a price plateau, can have
     columns past its square within r of every row in every coordinate.
     Those match every row at m and at m + 1, so they are counted for the
     whole block without comparing a cell (``_unmatched``), and only the
     square and the other columns are compared, gathered, when that pays.
-    Counts are exact integers and are scattered back to template order, so
-    the logarithms are summed in the same order as a dense count and the
-    result is the same to the bit.
+    The counts are scattered back to template order.
     """
-    t = arr.size - m + 1
-    order, ranks, lo, width = _runs(arr, t, m, r)
+    # ``order`` sorts the templates by their first coordinate, stably.
+    # ranks[k, p], lo[k, p] and width[k, p] are the rank and run of the k-th
+    # coordinate of the p-th sorted template.
+    order = sort[sort < t]
+    ranks, lo, width = by_index[:, np.arange(m + 1)[:, None] + order]
     hi = np.searchsorted(ranks[0], lo[0] + width[0])
     rows = t if t < 2 * _BLOCK_ROWS else max(1, min(_BLOCK_ROWS, _CHUNK_CELLS // t))
     starts = np.arange(0, t, rows)
@@ -184,46 +331,7 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     np.multiply(whole, rows, out=whole)
     counts += whole
     counts[:, order] = counts.copy()
-    phi_buf = np.empty(t)
-    return float(_phi(counts[:1], phi_buf)[0]), float(_phi(counts[1:, : t - 1], phi_buf)[0])
-
-
-def _runs(arr: np.ndarray, t: int, m: int, r: float):
-    """``(order, ranks, lo, width)`` of the t templates of ``arr``.
-
-    ``order`` sorts the templates by their first coordinate, stably. With s
-    the stably sorted values, rounding is monotone, so the values within r of
-    s[i] (fl(|s[i] - s[j]|) <= r) are one run of ranks [lo, lo + width)
-    around i. ranks[k, p], lo[k, p] and width[k, p] are the rank and run of
-    the k-th coordinate of the p-th sorted template; one past the series
-    has rank N and an empty run. They are unsigned integers that hold N, so a
-    rank below lo wraps to at least 2**bits - lo > N - lo >= width, and
-    ``rank - lo < width`` tests the run exactly.
-    """
-    n = arr.size
-    sort = np.argsort(arr, kind="stable")
-    s = arr[sort]
-    # fl(s[i] + r) puts each run's end within a few ulps of its place; the
-    # steps below move it there, past one distinct value at a time: in while
-    # its last value fails, then out while the next one passes.
-    end = np.searchsorted(s, s + r, side="right")
-    step = np.flatnonzero(s[end - 1] - s > r)
-    while step.size:
-        end[step] = np.searchsorted(s, s[end[step] - 1])
-        step = step[s[end[step] - 1] - s[step] > r]
-    step = np.flatnonzero(end < n)
-    while (step := step[s[end[step]] - s[step] <= r]).size:
-        end[step] = np.searchsorted(s, s[end[step]], side="right")
-        step = step[end[step] < n]
-    # The distance is symmetric, so j < i is in i's run just when i < end[j].
-    start = np.searchsorted(end, np.arange(n), side="right")
-    dtype = np.min_scalar_type(n)
-    by_index = np.empty((3, n + 1), dtype)  # rank, lo and width of arr[i]
-    by_index[:, sort] = np.arange(n), start, end - start
-    by_index[:, n] = n, n, 0
-    order = sort[sort < t]
-    ranks, lo, width = by_index[:, np.arange(m + 1)[:, None] + order]
-    return order, ranks, lo, width
+    return counts
 
 
 def _unmatched(ranks, floor, room, start, stop, end, last, counts, whole):
@@ -328,9 +436,12 @@ def apen(values, params: ApenParams | None = None) -> float:
         O(N * (band / 2 + 128) * m) time, where band is the number of
         templates whose first coordinate lies within r, less those that
         match all 128 templates of a sorted block at once, which cost O(m)
-        per block instead (as on a price plateau), and bounded memory. The
-        result is bit-identical to a dense N x N count, and the same at
-        every power-of-two scale of the input.
+        per block instead (as on a price plateau), and bounded memory.
+        Where that band is wide against N / 64 and N is at most 5,760, the
+        matches are counted as bit rows instead: O(N**2 / 64 * m) word
+        operations, with memory bounded by a 4 MB bitset. The result is
+        bit-identical to a dense N x N count, whichever way it is counted,
+        and the same at every power-of-two scale of the input.
     """
     p = params if params is not None else ApenParams()
     unit, e = _unit_scale(_as_finite_array(values, min_n=p.min_length))

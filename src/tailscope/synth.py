@@ -112,6 +112,7 @@ def _draw(spec: GeneratorSpec, t: np.ndarray) -> np.ndarray:
     return spec.x_min * np.exp(t / spec.alpha)
 
 
+_NDTRI_CHUNK = 65_536  # uniforms per pass of _ndtri
 # Cephes ndtri.c (S. L. Moshier): the rational approximations scipy.special.ndtri
 # evaluates, in Cephes' order. Each Q's implicit leading 1.0 is written out.
 _EXP_M2 = 0.13533528323661269189  # e**-2
@@ -136,10 +137,13 @@ _Q2 = (1.0, 6.02427039364742014255e0, 3.67983563856160859403e0, 1.37702099489081
 
 
 def _horner(x: np.ndarray, coefs: tuple) -> np.ndarray:
-    """Cephes' polevl: the polynomial in x with ``coefs``, highest power first."""
-    v = coefs[0]
-    for c in coefs[1:]:
-        v = v * x + c
+    """Cephes' polevl: the polynomial in x with ``coefs``, highest power first,
+    in place; ``v *= x`` is x * v, and each step rounds twice, as Cephes' does."""
+    v = x * coefs[0]
+    v += coefs[1]
+    for c in coefs[2:]:
+        v *= x
+        v += c
     return v
 
 
@@ -150,7 +154,20 @@ def _log(a: np.ndarray) -> np.ndarray:
 
 def _ndtri(u: np.ndarray) -> np.ndarray:
     """The standard normal quantile of each u in (0, 1), bit for bit as Cephes'
-    ndtri computes it in IEEE double arithmetic with libm's log."""
+    ndtri computes it in IEEE double arithmetic with libm's log.
+
+    The values are taken _NDTRI_CHUNK at a time, so that the temporaries,
+    and the Python float lists that ``_log`` hands to math.log, stay small
+    whatever the input's size."""
+    out = np.empty_like(u)
+    for start in range(0, u.size, _NDTRI_CHUNK):
+        out[start : start + _NDTRI_CHUNK] = _ndtri_chunk(u[start : start + _NDTRI_CHUNK])
+    return out
+
+
+def _ndtri_chunk(u: np.ndarray) -> np.ndarray:
+    """``_ndtri`` of one chunk; each tail value takes only the rational
+    approximation of its own range (P1/Q1 below x = 8, P2/Q2 from it on)."""
     upper = u > 1.0 - _EXP_M2
     y = np.where(upper, 1.0 - u, u)
     out = np.empty_like(y)
@@ -160,9 +177,11 @@ def _ndtri(u: np.ndarray) -> np.ndarray:
     out[central] = (c + c * (c2 * _horner(c2, _P0) / _horner(c2, _Q0))) * _SQRT_2PI
     tail = ~central
     x = np.sqrt(-2.0 * _log(y[tail]))
-    z = 1.0 / x
-    correction = np.where(x < 8.0, z * _horner(z, _P1) / _horner(z, _Q1),
-                          z * _horner(z, _P2) / _horner(z, _Q2))
+    near = x < 8.0
+    correction = np.empty_like(x)
+    for part, p, q in ((near, _P1, _Q1), (~near, _P2, _Q2)):
+        z = 1.0 / x[part]
+        correction[part] = z * _horner(z, p) / _horner(z, q)
     x = (x - _log(x) / x) - correction
     out[tail] = np.where(upper[tail], x, -x)
     return out

@@ -102,6 +102,7 @@ class TestApen:
         # ln(1) = 0 exactly; a count that wrapped at 256 would give -inf or NaN.
         # With blocks of one row, each count is the sum of one row's partial
         # count and of one column count from every block before it.
+        _force_kernel(monkeypatch, "blocks")
         params = ApenParams(m=2, r_mode=RMode.ABSOLUTE, r_value=1e9)
         data = np.random.default_rng(t).normal(size=t + 40)
         assert apen(data[: t + 1], params) == 0.0
@@ -167,6 +168,23 @@ class TestRollingApen:
 
 def _absolute(m, r):
     return ApenParams(m=m, r_mode=RMode.ABSOLUTE, r_value=r)
+
+
+# Bit rows need numpy's popcount (2.0 and later): below it, forcing them
+# leaves sorted blocks, and the tests check those.
+POPCOUNT = hasattr(np, "bitwise_count")
+
+
+def _force_kernel(patch, kernel):
+    """Send whole-series ApEn to one kernel through its selection constants:
+    no byte budget leaves sorted blocks, and an unbounded budget with free
+    words leaves bit rows (wherever numpy has popcount and m < 64)."""
+    apen_module = importlib.import_module("tailscope.apen")
+    if kernel == "blocks":
+        patch.setattr(apen_module, "_BIT_BYTES", 0)
+    else:
+        patch.setattr(apen_module, "_BIT_BYTES", math.inf)
+        patch.setattr(apen_module, "_WORD_CELLS", 0)
 
 
 def _kernel_inputs():
@@ -256,6 +274,7 @@ class TestBandKernel:
 
     @pytest.mark.parametrize("cells", [1, 997, 20_000])
     def test_small_chunks_cross_many_blocks(self, monkeypatch, cells):
+        _force_kernel(monkeypatch, "blocks")
         monkeypatch.setattr(importlib.import_module("tailscope.apen"), "_CHUNK_CELLS", cells)
         for name, data in _kernel_inputs().items():
             for m in (1, 2, 3):
@@ -266,6 +285,7 @@ class TestBandKernel:
     # row and column counts of many blocks of a few rows.
     @pytest.mark.parametrize("rows, cells", [(1, None), (2, None), (3, None), (3, 1_600)])
     def test_small_blocks_count_each_pair_once(self, monkeypatch, rows, cells):
+        _force_kernel(monkeypatch, "blocks")
         apen_module = importlib.import_module("tailscope.apen")
         monkeypatch.setattr(apen_module, "_BLOCK_ROWS", rows)
         if cells is not None:
@@ -282,6 +302,7 @@ class TestBandKernel:
     @pytest.mark.parametrize("rows", [1, 2, 3, None])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_columns_matching_whole_blocks(self, monkeypatch, m, rows, always):
+        _force_kernel(monkeypatch, "blocks")
         apen_module = importlib.import_module("tailscope.apen")
         if rows is not None:
             monkeypatch.setattr(apen_module, "_BLOCK_ROWS", rows)
@@ -296,6 +317,7 @@ class TestBandKernel:
     def test_plateau_compares_under_half_of_its_band(self, monkeypatch):
         # Most plateau columns match every row of their block: the kernel
         # counts them without asking _matches to compare their cells.
+        _force_kernel(monkeypatch, "blocks")
         apen_module = importlib.import_module("tailscope.apen")
         matches, asked = apen_module._matches, []
 
@@ -344,6 +366,132 @@ class TestBandKernel:
         data = _kernel_inputs()[name]
         params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
         assert apen(data, params) == apen_dense(data, m, params.resolve_r(data))
+
+
+def _bench_shaped(seed=1):
+    """Six series shaped like the benchmark's report: for each of three
+    ten-year daily t(4) price walks, two of them weekend-filled (flat over
+    each Saturday and Sunday), the closes and their log-returns."""
+    rng = np.random.default_rng(seed)
+    weekday = np.arange(3_651) % 7 < 5
+    out = []
+    for first, drift, scale, filled in ((1200.0, 2e-4, 0.012, True), (270.0, 2e-4, 0.010, True),
+                                        (0.08, 1.2e-3, 0.040, False)):
+        steps = drift + scale * rng.standard_t(4, weekday.size) / math.sqrt(2.0)
+        closes = first * np.exp(np.cumsum(np.where(weekday, steps, 0.0) if filled else steps))
+        out += [closes, np.diff(np.log(closes))]
+    return out
+
+
+def _chooses_bits(data, m, r):
+    apen_module = importlib.import_module("tailscope.apen")
+    return apen_module._bit_rows(apen_module._runs(np.asarray(data, float), r)[1], m)
+
+
+def _word_edge_inputs():
+    """(data, m, absolute r) with t = N - m + 1 templates at the edges of
+    one and two 64-bit words, on a Gaussian and on a lattice with r = 1."""
+    rng = np.random.default_rng(6464)
+    for t in (63, 64, 65, 127, 128, 129):
+        for m in (1, 2, 3):
+            gauss = rng.normal(size=t + m - 1)
+            yield gauss, m, 0.2 * float(gauss.std(ddof=1))
+            yield rng.integers(0, 4, t + m - 1).astype(np.float64), m, 1.0
+
+
+class TestBitRows:
+    """Whole-series ApEn from bit rows and from sorted blocks, each forced
+    through the selection constants, against the dense and direct counts."""
+
+    @pytest.mark.parametrize("kernel", ["bits", "blocks"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_kernel_inputs_match_the_dense_count(self, monkeypatch, kernel, m):
+        _force_kernel(monkeypatch, kernel)
+        for name, data in _kernel_inputs().items():
+            params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
+            r = params.resolve_r(data)
+            assert _chooses_bits(data, m, r) == (kernel == "bits" and POPCOUNT), name
+            assert apen(data, params) == apen_dense(data, m, r), name
+
+    @pytest.mark.parametrize("kernel", ["bits", "blocks"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_whole_block_inputs_match_dense_and_direct(self, monkeypatch, kernel, m):
+        _force_kernel(monkeypatch, kernel)
+        for name, (data, r) in _whole_block_inputs().items():
+            value = apen(data, _absolute(m, r))
+            assert value == apen_dense(data, m, r), name
+            assert value == pytest.approx(_direct_whole_block(name, m), abs=1e-12), name
+
+    @pytest.mark.parametrize("kernel", ["bits", "blocks"])
+    def test_word_edges_match_dense_and_direct(self, monkeypatch, kernel):
+        _force_kernel(monkeypatch, kernel)
+        for data, m, r in _word_edge_inputs():
+            value = apen(data, _absolute(m, r))
+            assert value == apen_dense(data, m, r), (data.size, m)
+            assert value == pytest.approx(apen_direct(data, m, r), abs=1e-12), (data.size, m)
+
+    @pytest.mark.parametrize("kernel", ["bits", "blocks"])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_self_matches_only_and_every_match(self, monkeypatch, kernel, m):
+        # At r = 1e-12 each template of distinct draws matches itself alone,
+        # and the last one's m + 1 count is empty: phi(m) = ln(1 / t) and
+        # phi(m + 1) = ln(1 / (t - 1)). At r = 1e9 every template matches.
+        _force_kernel(monkeypatch, kernel)
+        data = np.random.default_rng(90 + m).normal(size=300)
+        t = data.size - m + 1
+        tiny = apen(data, _absolute(m, 1e-12))
+        assert tiny == apen_dense(data, m, 1e-12)
+        assert tiny == pytest.approx(math.log(t - 1) - math.log(t), abs=1e-12)
+        assert apen(data, _absolute(m, 1e9)) == 0.0
+
+    @pytest.mark.parametrize("t", [255, 256])
+    def test_counts_at_the_uint8_edge(self, monkeypatch, t):
+        # t = 255 counts in uint8 and t = 256 in uint16: a count of 255 or
+        # 256 that wrapped would give -inf or a nonzero value.
+        _force_kernel(monkeypatch, "bits")
+        data = np.random.default_rng(t).normal(size=t + 1)
+        assert apen(data, _absolute(2, 1e9)) == 0.0
+        assert apen(data, ApenParams()) == apen_dense(data, 2, ApenParams().resolve_r(data))
+
+    def test_selection(self, monkeypatch):
+        # The cost rule and the byte budget, at their shipped values.
+        for data in _bench_shaped():
+            assert _chooses_bits(data, 2, 0.2 * float(data.std(ddof=1))) == POPCOUNT
+        gauss = np.random.default_rng(10_000).normal(size=10_000)
+        assert not _chooses_bits(gauss, 2, 0.2 * float(gauss.std(ddof=1)))
+        lattice = np.random.default_rng(3_650).integers(0, 256, 3_650).astype(np.float64)
+        assert not _chooses_bits(lattice, 2, 0.5)
+        short = np.random.default_rng(64).normal(size=300)
+        assert _chooses_bits(short, 63, 0.2) == POPCOUNT
+        assert not _chooses_bits(short, 64, 0.2)
+        want = apen(short, ApenParams(m=3))
+        monkeypatch.delattr(np, "bitwise_count", raising=False)
+        assert not _chooses_bits(short, 3, 0.2)
+        assert apen(short, ApenParams(m=3)) == want
+
+    def test_peak_memory_at_the_largest_bit_row_series(self):
+        # The largest N whose prefix bitset, N + 1 rows of ceil(N / 64)
+        # words, fits the byte budget. The traced peak holds that bitset,
+        # the block buffers (two of _BIT_ROWS + m + 1 rows, one of _BIT_ROWS
+        # rows and its popcount bytes) and the series' own index and count
+        # arrays, under 64 bytes per value; a second bitset or a temporary
+        # as large as the bitset would not fit.
+        apen_module = importlib.import_module("tailscope.apen")
+        n = 64
+        while (n + 2) * -(-(n + 1) // 64) * 8 <= apen_module._BIT_BYTES:
+            n += 1
+        data = np.cumsum(np.random.default_rng(n).standard_t(4, n))
+        assert _chooses_bits(data, 2, ApenParams().resolve_r(data)) == POPCOUNT
+        words = -(-n // 64)
+        rows = apen_module._BIT_ROWS
+        buffers = 2 * (rows + 3) * words * 8 + rows * words * 9
+        tracemalloc.start()
+        try:
+            apen(data)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= apen_module._BIT_BYTES + buffers + 64 * n, (n, peak)
 
 
 def _rolling_inputs(n):
