@@ -32,8 +32,10 @@ from .errors import (
 # than _CHUNK_CELLS cells of 4 bytes (~16 MB), whatever N is. A block of
 # sorted rows spans its own rows' columns and then the half band past them,
 # while each block also costs a fixed twenty-odd numpy calls: 128 rows
-# balances the two (a sweep of 64 to 256 rows on the bench series), and a
-# series shorter than two blocks is one block.
+# balances the two (a sweep of 64 to 256 rows on the six bench series, made
+# before bit rows took them over), and a series shorter than two blocks is
+# one block. Sorted blocks now run on more than 5,760 values, runs too
+# narrow for bit rows, numpy < 2 or m >= 64 (_bit_rows).
 _BLOCK_ROWS = 128
 _CHUNK_CELLS = 4_194_304
 # Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and fills
@@ -50,8 +52,8 @@ _DENSE_RATIO = 8
 # Testing a block for columns that match all its rows and gathering the
 # rest cost ~20 us per block and ~4 cells per column on a 2-vCPU VM (numpy
 # 2.4). _gathers asks for four times that per column, so a block whose
-# gather would only break even stays whole. The bench series run within 2%
-# of each other at a quarter and at four times these constants.
+# gather would only break even stays whole. Before bit rows took them over,
+# the bench series ran within 2% at a quarter and at four times these.
 _GATHER_CELLS = 16
 _GATHER_FIXED = 2_000
 # Bit rows (_bit_counts) take _BIT_ROWS templates at a time (128 and 512 ran

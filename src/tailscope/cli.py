@@ -24,7 +24,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .apen import ApenParams, apen
+from .apen import ApenParams, RMode, apen
 from .errors import (
     InvalidParameterError, TailscopeError, TooFewPointsError, TooShortError, ZeroToleranceError,
 )
@@ -33,7 +33,7 @@ from .series import (
     Frequency, ReturnKind, _read_csv, fill_weekend, ingest_csv, log_returns, resample
 )
 from .stats import RollingStatistic, rolling, summarize
-from .synth import Family, GeneratorSpec, generate
+from .synth import Family, GeneratorSpec, _PARAMS, generate
 
 EXIT_OK = 0
 EXIT_PARTIAL = 1
@@ -405,9 +405,8 @@ def _resolve(args: argparse.Namespace) -> None:
     if args.command == "synth":
         if args.label:
             _check_name("--label", args.label)
-        params = ("mu", "sigma", "lam", "xi", "beta", "alpha", "x_min")
         args.spec = GeneratorSpec(args.family, args.n, _seed(args.seed),
-                                  **{name: getattr(args, name) for name in params})
+                                  **{param.name: getattr(args, param.name) for param in _PARAMS})
         args.sample = generate(args.spec)
     else:
         args.inputs = _parse_inputs(args.inputs)
@@ -473,13 +472,14 @@ def _build_parser() -> argparse.ArgumentParser:
         help="series to analyze: closing prices or (absolute) log-returns",
     )
     tolerance = argparse.ArgumentParser(add_help=False)
-    tolerance.add_argument("--m", type=int, default=2, help="pattern length (default 2)")
-    tolerance.add_argument("--r", type=float, default=0.2, help="tolerance value (default 0.2)")
+    tolerance.add_argument("--m", type=int, default=ApenParams.m,
+                           help="pattern length (default %(default)s)")
+    tolerance.add_argument("--r", type=float, default=ApenParams.r_value,
+                           help="tolerance value (default %(default)s)")
     tolerance.add_argument(
         "--r-mode",
-        dest="r_mode",
-        choices=["relative", "absolute"],
-        default="relative",
+        choices=[mode.value for mode in RMode],
+        default=ApenParams.r_mode.value,
         help="tolerance mode: fraction of the window SD, or absolute units",
     )
 
@@ -534,17 +534,11 @@ def _build_parser() -> argparse.ArgumentParser:
     p = commands["synth"]
     p.add_argument("--family", required=True, choices=[f.value for f in Family])
     p.add_argument("--n", type=int, required=True, help="sample size")
-    p.add_argument(
-        "--seed", type=int, default=None, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)"
-    )
-    p.add_argument("--mu", type=float, default=0.0, help="gaussian/lognormal location")
-    p.add_argument("--sigma", type=float, default=1.0, help="gaussian/lognormal scale")
-    p.add_argument("--lam", type=float, default=1.0, help="exponential rate")
-    p.add_argument("--xi", type=float, default=0.0, help="gpd shape")
-    p.add_argument("--beta", type=float, default=1.0, help="gpd scale")
-    p.add_argument("--alpha", type=float, default=1.0, help="pareto tail index")
-    p.add_argument("--x-min", dest="x_min", type=float, default=1.0, help="pareto lower bound")
-    p.add_argument("--label", default=None, help="output label (default: family name)")
+    p.add_argument("--seed", type=int, help=f"RNG seed (default: ${SEED_ENV_VAR} or 0)")
+    for param in _PARAMS:
+        p.add_argument("--" + param.name.replace("_", "-"), type=float, default=param.default,
+                       help=param.metadata["help"])
+    p.add_argument("--label", help="output label (default: family name)")
     p.add_argument("--out", default=".", help="output directory")
     p.set_defaults(fmt="csv")
     return parser

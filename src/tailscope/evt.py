@@ -152,18 +152,19 @@ def mean_excess(values, trim_fraction: float = 0.02) -> MefCurve:
     n = arr.size
     k = max(3, math.ceil(trim_fraction * n))
     sorted_vals = np.sort(arr)
-    candidates = sorted_vals[: n - k - 1]
-    thresholds = np.unique(candidates)
-    thresholds = thresholds[thresholds < sorted_vals[-1]]
-    if thresholds.size == 0:
+    # Each run of equal values below the maximum ends where the sorted sample changes;
+    # a run that starts among the lowest n - k - 1 values gives one threshold.
+    first_above = np.flatnonzero(sorted_vals[1:] != sorted_vals[:-1]) + 1
+    first_above = first_above[: np.count_nonzero(first_above < n - k - 1) + 1]
+    if first_above.size == 0:
         raise TooFewPointsError("no thresholds strictly below the sample maximum")
+    thresholds = sorted_vals[first_above - 1]
+    counts = n - first_above
     # Suffix sums over the sorted sample, on its unit scale so that they cannot
     # overflow, give every threshold in O(n log n).
-    first_above = np.searchsorted(sorted_vals, thresholds, side="right")
-    counts = n - first_above
     unit, e = _unit_scale(sorted_vals)
     suffix = np.cumsum(unit[::-1])[::-1]
-    excess = (suffix[first_above] - np.ldexp(thresholds, -e) * counts) / counts
+    excess = (suffix[first_above] - unit[first_above - 1] * counts) / counts
     me = _from_unit_scale(excess, e, "the mean excess")
     try:
         shape = classify_shape(thresholds, me)
@@ -220,9 +221,10 @@ def _convexity_vote(a: np.ndarray, me: np.ndarray) -> float:
     """Share of positive second differences over the lower-rank block means."""
     half = max(3, math.ceil(a.size * _CONVEXITY_RANK_FRACTION))
     blocks = min(_CONVEXITY_BLOCKS, half)
-    edges = np.unique(np.round(np.linspace(0, half, blocks + 1)).astype(int))
-    a_mean = np.array([a[s:e].mean() for s, e in zip(edges[:-1], edges[1:])])
-    me_mean = np.array([me[s:e].mean() for s, e in zip(edges[:-1], edges[1:])])
+    # Edges half / blocks >= 1 apart, integers where it is 1, round strictly increasing.
+    edges = np.round(np.linspace(0, half, blocks + 1)).astype(int)
+    means = np.array([(a[s:e].mean(), me[s:e].mean()) for s, e in zip(edges, edges[1:])])
+    a_mean, me_mean = means.T
     left = (me_mean[1:-1] - me_mean[:-2]) / (a_mean[1:-1] - a_mean[:-2])
     right = (me_mean[2:] - me_mean[1:-1]) / (a_mean[2:] - a_mean[1:-1])
     # Positive beyond rounding noise: an exact line must vote zero.

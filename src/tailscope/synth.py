@@ -27,7 +27,7 @@ under the same seed. numpy is the module's only dependency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -42,6 +42,11 @@ class Family(_Choice):
     PARETO = "pareto"
 
 
+def _param(default: float, text: str, positive: tuple = ()):
+    """A family parameter's field: its default, its --help text, the families that need it > 0."""
+    return field(default=default, metadata={"help": text, "positive": positive})
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """Distribution family, size, seed, and family parameters.
@@ -54,32 +59,28 @@ class GeneratorSpec:
     family: Family
     n: int
     seed: int
-    mu: float = 0.0
-    sigma: float = 1.0
-    lam: float = 1.0
-    xi: float = 0.0
-    beta: float = 1.0
-    alpha: float = 1.0
-    x_min: float = 1.0
+    mu: float = _param(0.0, "gaussian/lognormal location")
+    sigma: float = _param(1.0, "gaussian/lognormal scale", (Family.GAUSSIAN, Family.LOGNORMAL))
+    lam: float = _param(1.0, "exponential rate", (Family.EXPONENTIAL,))
+    xi: float = _param(0.0, "gpd shape")
+    beta: float = _param(1.0, "gpd scale", (Family.GPD,))
+    alpha: float = _param(1.0, "pareto tail index", (Family.PARETO,))
+    x_min: float = _param(1.0, "pareto lower bound", (Family.PARETO,))
 
     def __post_init__(self):
         _freeze(self, family=Family)
         object.__setattr__(self, "n", _as_int(self.n, "n must be an integer >= 1", low=1))
         seed = _as_int(self.seed, "seed must be a non-negative integer", low=0)
         object.__setattr__(self, "seed", seed)
-        for name in ("mu", "sigma", "lam", "xi", "beta", "alpha", "x_min"):
-            value = float(_as_finite_array(getattr(self, name), name=name, ndim=0))
-            object.__setattr__(self, name, value)
-        positive = {
-            Family.GAUSSIAN: ("sigma",),
-            Family.LOGNORMAL: ("sigma",),
-            Family.EXPONENTIAL: ("lam",),
-            Family.GPD: ("beta",),
-            Family.PARETO: ("alpha", "x_min"),
-        }[self.family]
-        for name in positive:
-            if getattr(self, name) <= 0.0:
-                raise InvalidParameterError(f"{name} must be > 0 for {self.family.value}")
+        for param in _PARAMS:
+            value = float(_as_finite_array(getattr(self, param.name), name=param.name, ndim=0))
+            object.__setattr__(self, param.name, value)
+        for param in _PARAMS:
+            if self.family in param.metadata["positive"] and getattr(self, param.name) <= 0.0:
+                raise InvalidParameterError(f"{param.name} must be > 0 for {self.family.value}")
+
+
+_PARAMS = tuple(param for param in fields(GeneratorSpec) if param.metadata)
 
 
 def generate(spec: GeneratorSpec) -> np.ndarray:

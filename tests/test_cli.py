@@ -1,3 +1,4 @@
+import argparse
 import csv
 import datetime as dt
 import json
@@ -377,6 +378,50 @@ class TestEntryPoint:
         assert "maxsum" in result.stdout
 
 
+IO_DEFAULTS = {"inputs": ["btc.csv"], "frequency": "daily", "fill_weekend": "", "out": ".",
+               "fmt": "csv"}
+APEN_DEFAULTS = {"m": 2, "r": 0.2, "r_mode": "relative"}
+PARSED_DEFAULTS = {
+    "ingest": IO_DEFAULTS,
+    "report": {**IO_DEFAULTS, **APEN_DEFAULTS},
+    "stats": {**IO_DEFAULTS, "target": "prices"},
+    "apen": {**IO_DEFAULTS, "target": "prices", **APEN_DEFAULTS},
+    "mef": {**IO_DEFAULTS, "target": "prices", "trim": 0.02},
+    "maxsum": {**IO_DEFAULTS, "target": "prices", "p": None},
+    "rolling": {**IO_DEFAULTS, "target": "prices", **APEN_DEFAULTS, "statistic": "std_dev",
+                "window": None},
+    "synth": {"family": "exponential", "n": 5, "seed": None, "mu": 0.0, "sigma": 1.0,
+              "lam": 1.0, "xi": 0.0, "beta": 1.0, "alpha": 1.0, "x_min": 1.0, "label": None,
+              "out": ".", "fmt": "csv"},
+}
+
+
+class TestParser:
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_defaults(self, command):
+        argv = ["synth", "--family", "exponential", "--n", "5"] if command == "synth" else [
+            command, "btc.csv"
+        ]
+        parsed = vars(cli._build_parser().parse_args(argv))
+        parsed.pop("run")
+        expected = {"command": command, **PARSED_DEFAULTS[command]}
+        assert parsed == expected
+        assert {key: type(value) for key, value in parsed.items()} == {
+            key: type(value) for key, value in expected.items()
+        }
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_every_flag_help_is_shown(self, command):
+        parser = cli._build_parser()
+        [sub] = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        page = "".join(sub.choices[command].format_help().split())  # wrapped anywhere
+        helps = [action.help % {"default": action.default}
+                 for action in sub.choices[command]._actions if action.help]
+        assert len(helps) >= 3
+        for text in helps:
+            assert "".join(text.split()) in page, text
+
+
 class TestResolvedWindow:
     def test_default_window_below_apen_minimum_is_config_error(self, tmp_path, price_file, capsys):
         out = tmp_path / "out"
@@ -626,39 +671,63 @@ class TestStartup:
         assert result.returncode == 0, result.stderr
         assert result.stdout.strip() == "[]"
 
-    def test_no_subcommand_needs_scipy(self, tmp_path, price_file):
-        """Every subcommand exits 0 in an interpreter where importing scipy fails."""
+    def exit_codes(self, tmp_path, price_file, preamble: str, formats=("csv",)) -> dict:
+        """The exit code of every subcommand, each non-synth one in each of
+        ``formats``, run through main in a child interpreter after ``preamble``."""
         import tailscope
 
         env = dict(os.environ)
         src = str(Path(tailscope.__file__).resolve().parents[1])
         env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-        code = """if True:
-            import json, sys
-            sys.modules["scipy"] = None  # any import of scipy now raises ImportError
-            from tailscope.cli import main
-            out, prices = sys.argv[1:]
-            codes, inputs = {}, [f"btc={prices}"]
-            for family in ("gaussian", "lognormal"):  # mu = 5: positive samples, as mef needs
-                argv = ["synth", "--family", family, "--mu", "5", "--n", "200", "--seed", "1"]
-                codes[family] = main([*argv, "--out", out])
-                inputs.append(f"{family}={out}/{family}_na_values_synth.csv")
-            codes["ingest"] = main(["ingest", inputs[0], "--out", out])
-            for command in ("report", "stats", "apen", "mef", "maxsum", "rolling"):
-                window = ["--window", "10"] if command == "rolling" else []  # 40 prices
-                codes[command] = main([command, *inputs, *window, "--out", out])
-            print(json.dumps(codes))
-        """
+        code = preamble + """
+import json, sys
+from tailscope.cli import main
+out, prices, *formats = sys.argv[1:]
+codes, inputs = {}, [f"btc={prices}"]
+for family in ("gaussian", "lognormal"):  # mu = 5: positive samples, as mef needs
+    argv = ["synth", "--family", family, "--mu", "5", "--n", "200", "--seed", "1"]
+    codes[family] = main([*argv, "--out", out])
+    inputs.append(f"{family}={out}/{family}_na_values_synth.csv")
+for fmt in formats:
+    codes[f"ingest {fmt}"] = main(["ingest", inputs[0], "--format", fmt, "--out", out])
+    for command in ("report", "stats", "apen", "mef", "maxsum", "rolling"):
+        window = ["--window", "10"] if command == "rolling" else []  # 40 prices
+        argv = [command, *inputs, *window, "--format", fmt, "--out", out]
+        codes[f"{command} {fmt}"] = main(argv)
+print(json.dumps(codes))
+"""
         result = subprocess.run(
-            [sys.executable, "-c", code, str(tmp_path / "out"), str(price_file)],
+            [sys.executable, "-c", code, str(tmp_path / "out"), str(price_file), *formats],
             capture_output=True, text=True, env=env,
         )
         assert result.returncode == 0, result.stderr
-        calls = ["gaussian", "lognormal", "ingest", "report", "stats", "apen", "mef", "maxsum",
-                 "rolling"]
-        assert json.loads(result.stdout.splitlines()[-1]) == dict.fromkeys(calls, EXIT_OK), (
-            result.stderr
-        )
+        sys.stderr.write(result.stderr)  # each failed asset's reason, shown if a code differs
+        return json.loads(result.stdout.splitlines()[-1])
+
+    def test_no_subcommand_needs_scipy(self, tmp_path, price_file):
+        """Every subcommand exits 0 in an interpreter where importing scipy fails."""
+        codes = self.exit_codes(tmp_path, price_file, 'import sys; sys.modules["scipy"] = None')
+        calls = ["gaussian", "lognormal", "ingest csv", "report csv", "stats csv", "apen csv",
+                 "mef csv", "maxsum csv", "rolling csv"]
+        assert codes == dict.fromkeys(calls, EXIT_OK)
+
+    def test_no_subcommand_needs_numpy_ma(self, tmp_path, price_file):
+        """Every subcommand exits 0, in CSV and in JSON, in an interpreter where
+        importing numpy.ma fails: the package never loads numpy's masked arrays."""
+        preamble = """import sys, numpy
+if "numpy.ma" in sys.modules:  # numpy < 2 imports numpy.ma with numpy itself
+    print("{}")
+    sys.exit(0)
+sys.modules["numpy.ma"] = None  # any import of numpy.ma now raises ImportError
+"""
+        codes = self.exit_codes(tmp_path, price_file, preamble, formats=("csv", "json"))
+        if not codes:
+            pytest.skip("this numpy imports numpy.ma at start-up")
+        calls = ["gaussian", "lognormal"] + [
+            f"{command} {fmt}" for fmt in ("csv", "json")
+            for command in ("ingest", "report", "stats", "apen", "mef", "maxsum", "rolling")
+        ]
+        assert codes == dict.fromkeys(calls, EXIT_OK)
 
     def test_public_names_resolve(self):
         import tailscope

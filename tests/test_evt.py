@@ -10,6 +10,7 @@ from tailscope.errors import (
     NegativeValueError,
     TooFewPointsError,
     TooShortError,
+    _unit_scale,
 )
 from tailscope.evt import (
     MaxSumTrace,
@@ -136,6 +137,84 @@ class TestMeanExcess:
         np.testing.assert_array_equal(curve.mean_excess, np.ldexp(unit.mean_excess, 1024))
         np.testing.assert_array_equal(curve.exceedances, unit.exceedances)
         assert curve.shape is unit.shape
+
+
+def reference_mean_excess(values: np.ndarray, trim_fraction: float) -> MefCurve:
+    """The curve of ``mean_excess`` with its thresholds from ``np.unique`` of the
+    lowest n - k - 1 order statistics, filtered below the maximum, and their
+    exceedances counted by ``np.searchsorted``."""
+    n = values.size
+    k = max(3, math.ceil(trim_fraction * n))
+    sorted_vals = np.sort(values)
+    thresholds = np.unique(sorted_vals[: n - k - 1])
+    thresholds = thresholds[thresholds < sorted_vals[-1]]
+    if thresholds.size == 0:
+        raise TooFewPointsError("no thresholds strictly below the sample maximum")
+    first_above = np.searchsorted(sorted_vals, thresholds, side="right")
+    counts = n - first_above
+    unit, e = _unit_scale(sorted_vals)
+    suffix = np.cumsum(unit[::-1])[::-1]
+    me = np.ldexp((suffix[first_above] - np.ldexp(thresholds, -e) * counts) / counts, e)
+    try:
+        shape = classify_shape(thresholds, me)
+    except TooFewPointsError:
+        shape = MefShape.UNCLASSIFIED
+    return MefCurve(thresholds, me, counts, trimmed=k, shape=shape)
+
+
+def fuzz_sample(rng: np.random.Generator) -> np.ndarray:
+    """A non-negative sample of 10 to 2,000 values: continuous, rounded to ties,
+    on an integer lattice, on a plateau of one repeated value, or holding
+    zeros of both signs."""
+    n = int(rng.integers(10, 2_001))
+    kind = int(rng.integers(5))
+    if kind == 0:
+        return rng.pareto(1.5, n)
+    if kind == 1:
+        return np.round(rng.exponential(1.0, n), int(rng.integers(0, 3)))
+    if kind == 2:
+        return rng.integers(0, int(rng.integers(1, 30)), n).astype(np.float64)
+    if kind == 3:
+        values = np.full(n, rng.exponential())
+        spread = rng.random(n) < rng.random()
+        values[spread] = rng.exponential(1.0, int(spread.sum()))
+        return values
+    values = rng.exponential(1.0, n)
+    values[rng.random(n) < 0.4] = 0.0
+    values[rng.random(n) < 0.3] = -0.0
+    return values
+
+
+class TestMeanExcessFuzz:
+    def test_matches_unique_and_searchsorted_reference(self):
+        rng = np.random.default_rng(2026)
+        signed_zeros = 0
+        for _ in range(600):
+            values = fuzz_sample(rng)
+            trim = float(rng.choice([0.0, 0.02, rng.uniform(0.0, 0.49), 0.49]))
+            try:
+                expected = reference_mean_excess(values, trim)
+            except TooFewPointsError:
+                with pytest.raises(TooFewPointsError):
+                    mean_excess(values, trim)
+                continue
+            curve = mean_excess(values, trim)
+            assert (curve.trimmed, curve.shape) == (expected.trimmed, expected.shape)
+            np.testing.assert_array_equal(curve.exceedances, expected.exceedances)
+            zeros = values[values == 0.0]
+            if np.signbit(zeros).any() and not np.signbit(zeros).all():
+                # The zero threshold's sign follows np.sort; -0.0 == 0.0.
+                signed_zeros += 1
+                np.testing.assert_array_equal(curve.thresholds, expected.thresholds)
+                np.testing.assert_array_equal(curve.mean_excess, expected.mean_excess)
+            else:
+                np.testing.assert_array_equal(
+                    curve.thresholds.view(np.int64), expected.thresholds.view(np.int64)
+                )
+                np.testing.assert_array_equal(
+                    curve.mean_excess.view(np.int64), expected.mean_excess.view(np.int64)
+                )
+        assert signed_zeros > 0
 
 
 class TestClassifyShape:
