@@ -40,12 +40,12 @@ _BLOCK_ROWS = 128
 _CHUNK_CELLS = 4_194_304
 # Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and fills
 # their distances a slab of rows at a time. A slab holds at most an eighth of
-# _ROLLING_CELLS float64 cells, and no mask or index array passes
-# _ROLLING_CELLS bytes (256 KB); only the per-window count tables grow with
-# the window, linearly. A chunk whose windows' blocks hold at most
-# _DENSE_RATIO times the cells of its distance matrix compares each block
-# with its own tolerance instead of splitting the cells at the chunk's
-# tolerance range.
+# _ROLLING_CELLS float64 cells (its differences m more rows and columns), and
+# no mask, index or membership array passes _ROLLING_CELLS bytes (256 KB);
+# only the per-window count tables grow with the window, linearly. A chunk
+# whose windows' blocks hold at most _DENSE_RATIO times the cells of its
+# distance matrix compares each block with its own tolerance instead of
+# splitting the cells at the chunk's tolerance range.
 _ROLLING_WINDOWS = 48
 _ROLLING_CELLS = 262_144
 _DENSE_RATIO = 8
@@ -387,25 +387,6 @@ def _matches(ranks, lo, width, diff_buf, mask_buf, scratch_buf):
     yield within
 
 
-def _distances(coords, rows: slice, cols: slice, dist_buf, diff_buf):
-    """Yield the Chebyshev distances of templates ``rows`` to ``cols`` over
-    the first m of the m + 1 ``coords``, then over all: one array, filled in
-    place in ``dist_buf``, with ``diff_buf`` as scratch. Rolling ApEn's only;
-    whole-series ApEn compares ranks (``_matches``)."""
-    shape = (rows.stop - rows.start, cols.stop - cols.start)
-    dist = dist_buf[: shape[0] * shape[1]].reshape(shape)
-    diff = diff_buf[: dist.size].reshape(shape)
-    np.subtract.outer(coords[0][rows], coords[0][cols], out=dist)
-    np.abs(dist, out=dist)
-    for k in range(1, len(coords)):
-        if k == len(coords) - 1:
-            yield dist
-        np.subtract.outer(coords[k][rows], coords[k][cols], out=diff)
-        np.abs(diff, out=diff)
-        np.maximum(dist, diff, out=dist)
-    yield dist
-
-
 def _add_matches(matches: np.ndarray, counts: np.ndarray, rows: slice, past) -> None:
     """Add a block's matches to the counts of the templates it covers: each
     row's to its own, ``rows``, and each column's past the block's square to
@@ -461,27 +442,26 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
     templates. A chunk of consecutive windows fills the part of D its blocks
     cover a slab of rows at a time, so each of its distances is computed
     once, and ``_count`` adds each slab to the counts of every window of the
-    chunk. As in _phi_pair, the m counts are taken before the (m+1)-th
-    coordinate is folded in, and a trailing NaN stands in for the (m+1)-th
-    coordinate of the series' last template, which no m + 1 count uses. Every
-    count is the integer that apen counts for that window alone, and each
-    window's logarithms are summed in the same order, so every value is the
-    one apen gives the window, to the bit.
+    chunk. Coordinate k's differences are coordinate 0's k rows and k
+    columns on, so a slab folds each coordinate in as a shifted view of one
+    matrix of differences |x_i - x_j| over m more rows and columns. As in
+    _phi_pair, the m counts are taken before the (m+1)-th coordinate is
+    folded in, and a trailing NaN stands in for the (m+1)-th coordinate of
+    the series' last template, which no m + 1 count uses. Every count is
+    the integer that apen counts for that window alone, and each window's
+    logarithms are summed in the same order, so every value is the one apen
+    gives the window, to the bit.
     """
     t = window - m + 1
     total = arr.size - window + 1
     ext = np.append(arr, np.nan)
-    coords = [ext[k : k + arr.size - m + 1] for k in range(m + 1)]
     chunk = min(_ROLLING_WINDOWS, total)
     width = chunk + t - 1
     rows = max(1, min(width, _ROLLING_CELLS // 8 // width))
-    dist_buf, diff_buf = np.empty(rows * width), np.empty(rows * width)
+    dist_buf, diff_buf = np.empty(rows * width), np.empty((rows + m) * (width + m))
     # Two slab masks, or a full chunk's blocks when it compares them whole.
     blocks = chunk * t * t if _compares_blocks(chunk, t, min(rows, width), width) else 0
     mask_buf = np.empty(max(2 * rows * width, blocks), bool)
-    # holds[k][b, j]: window b holds column j of its chunk, j in [b, b + tt).
-    after = ~np.tri(chunk, width, -1, bool)
-    holds = [np.tri(chunk, width, tt - 1, bool) & after for tt in (t, t - 1)]
     dtype = np.min_scalar_type(t)  # as in _phi_pair
     level_buf = np.empty(2 * chunk * width, dtype)
     out = np.empty(total)
@@ -492,13 +472,22 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
         # (k = 0) or m + 1; cells with g outside [b, b + t) are scratch.
         level = level_buf[: 2 * b * w].reshape(2, b, w)
         r_b = r[first : first + b]
-        cols = slice(first, first + w)
         for top in range(0, w, rows):
-            span = slice(first + top, first + min(top + rows, w))
-            slab = _distances(coords, span, cols, dist_buf, diff_buf)
+            h = min(rows, w - top)
+            # diff[i, j] = |x[first + top + i] - x[first + j]|, so coordinate
+            # k's distances are diff[k : k + h, k : k + w].
+            diff = diff_buf[: (h + m) * (w + m)].reshape(h + m, w + m)
+            x = ext[first + top : first + top + h + m]
+            np.subtract.outer(x, ext[first : first + w + m], out=diff)
+            np.abs(diff, out=diff)
+            dist = dist_buf[: h * w].reshape(h, w)  # contiguous, for _count_dense's views
+            np.copyto(dist, diff[:h, :w])
+            for k in range(1, m + 1):
+                if k == m:
+                    _count(dist, top, t, r_b, mask_buf, level[0])
+                np.maximum(dist, diff[k : k + h, k : k + w], out=dist)
             # Row t - 1 is no (m+1)-template of its window: counted, not used.
-            for k, dist in enumerate(slab):
-                _count(dist, top, t - k, r_b, holds[k][:b, :w], mask_buf, level[k])
+            _count(dist, top, t - 1, r_b, mask_buf, level[1])
         s0, s1, s2 = level.strides
         counts = np.ndarray((2, b, t), dtype, level, 0, (s0, s1 + s2, s2))
         step = max(1, dist_buf.size // t)
@@ -519,7 +508,7 @@ def _phi(counts: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return q.mean(axis=1)
 
 
-def _count(dist, top, tt, r, holds, mask_buf, level) -> None:
+def _count(dist, top, tt, r, mask_buf, level) -> None:
     """Count the matches of one slab of a chunk's distances in each window.
 
     ``dist`` holds rows top .. top + h - 1 of the chunk's distance matrix
@@ -531,8 +520,10 @@ def _count(dist, top, tt, r, holds, mask_buf, level) -> None:
     so one row sum and a cumulative sum over the windows count them all; the
     sums wrap around in the counts' unsigned dtype, but every count fits it,
     so each comes out exact. Each ambiguous cell, lo < d <= hi, is then
-    compared with the tolerance of every window that holds its column. In
-    absolute mode lo = hi, and no cell is ambiguous.
+    compared with the tolerance of every window that holds its column j:
+    j - b < tt in an unsigned type that holds w, where j < b wraps to at
+    least w + 1 - b > tt (as in _runs). In absolute mode lo = hi, and no
+    cell is ambiguous.
 
     A chunk of short windows is mostly cells that no window holds, and its
     tolerances swing widely. So when its distances are one slab and its
@@ -559,20 +550,16 @@ def _count(dist, top, tt, r, holds, mask_buf, level) -> None:
     np.less_equal(dist, hi, out=ambiguous)
     np.not_equal(ambiguous, sure, out=ambiguous)
     cells = np.flatnonzero(ambiguous)
-    flat = dist.reshape(-1)
+    windows = np.arange(b, dtype=np.min_scalar_type(w))[:, None]
     # Pieces of cells whose window masks fit mask_buf. The cells come in row
     # order, so each row's cells in a piece are one segment of it.
     step = max(1, mask_buf.size // b)
     for start in range(0, cells.size, step):
-        piece = cells[start : start + step]
-        g, j = np.divmod(piece, w)
-        held = holds[:, j]
+        g, j = np.divmod(cells[start : start + step], w)
+        held = np.less(j.astype(windows.dtype) - windows, tt)
         within = mask_buf[: held.size].reshape(held.shape)
-        held &= np.less_equal(flat[piece], r[:, None], out=within)
-        new_row = np.empty(g.size, bool)
-        new_row[0] = True
-        np.not_equal(g[1:], g[:-1], out=new_row[1:])
-        starts = np.flatnonzero(new_row)
+        held &= np.less_equal(dist[g, j], r[:, None], out=within)
+        starts = np.flatnonzero(np.diff(g, prepend=-1))
         out[:, g[starts]] += np.add.reduceat(held.view(np.uint8), starts, axis=1, dtype=out.dtype)
 
 

@@ -211,6 +211,8 @@ def classify_shape(thresholds, mean_excess_values) -> MefShape:
         return MefShape.CONSTANT
     if sigma <= -SLOPE_THRESHOLD:
         return MefShape.DECREASING
+    if (a[1:] <= a[:-1]).any():  # thresholds that meet on the unit scale leave no slope change
+        return MefShape.UNCLASSIFIED
     vote = _convexity_vote(a, me)
     if vote >= CONVEX_VOTE:
         return MefShape.INCREASING_CONVEX

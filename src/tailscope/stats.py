@@ -26,6 +26,10 @@ _CV_MEAN_FLOOR = 1e-12
 # Rolling SD reduces blocks of windows of at most this many cells, so its
 # temporaries stay near 512 KB whatever the series length.
 _ROLLING_BLOCK_CELLS = 65_536
+# A window all of whose values lie below 2**-_SD_SHIFT on the series' unit
+# scale takes its SD from summarize: a value below 2**-s has an ulp down to
+# 2**-(s + 53), whose square is normal (2**-1022 and up) only while s <= 458.
+_SD_SHIFT = 400
 
 
 class RollingStatistic(_Choice):
@@ -109,7 +113,8 @@ def rolling(
     once, counts the ones within the chunk's smallest tolerance for all its
     windows at once, and compares only those between its smallest and largest
     tolerance window by window (see ``apen._rolling_apen``). Every value is
-    bit-identical to the statistic of its window alone on that scale.
+    bit-identical to the statistic of its window alone on that scale, or, for
+    an SD window all below 2**(e - 400), to that window's ``summarize``.
     """
     arr = _as_float64(values)
     stat = RollingStatistic(statistic)
@@ -135,6 +140,10 @@ def rolling(
         out = _rolling_apen(unit, window, params.m, r)
     elif stat is RollingStatistic.STD_DEV:
         out = _from_unit_scale(_rolling_sd(unit, window), e, "the standard deviation")
+        small = np.abs(arr) < np.ldexp(1.0, e - _SD_SHIFT)
+        if np.any(small & (arr != 0)):  # else every such window is zeros: SD 0 either way
+            deep = np.flatnonzero(sliding_window_view(small, window).all(axis=1))
+            out[deep] = [summarize(arr[i : i + window]).std_dev for i in deep]
     else:
         mean = sliding_window_view(unit, window).mean(axis=1)
         out = np.divide(_rolling_sd(unit, window), mean, out=np.full_like(mean, np.nan),

@@ -562,6 +562,34 @@ class TestBatchedRollingApen:
                 got = rolling(data, window, "apen", apen_params=params).values
                 assert np.array_equal(got, want), (window, entry)
 
+    @pytest.mark.parametrize("name", ["gauss", "walk", "lattice"])
+    @pytest.mark.parametrize("m", [4, 5])
+    def test_long_templates_bit_identical_to_window_loop(self, monkeypatch, name, m):
+        # Each coordinate past the first is folded in as a view of one
+        # difference matrix shifted k rows and k columns on, for any m.
+        data = _rolling_inputs(260)[name]
+        params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
+        self._assert_every_chunking(monkeypatch, data, (m + 2, 7, 30, 100, 257), params)
+
+    def test_window_membership_matches_a_tri_reference(self):
+        # _count tests "window b holds column j" as j - b < tt in the
+        # narrowest unsigned type that holds the chunk's width w; np.tri
+        # spells out the same band. Widths 254 to 257 cross the uint8 edge.
+        count = importlib.import_module("tailscope.apen")._count
+        rng = np.random.default_rng(2700)
+        for b in range(1, 49):
+            for t in (*range(2, 12), *range(255 - b, 259 - b)):
+                w = b + t - 1
+                h = min(3, w - 1)  # a slab short of the chunk: never whole blocks
+                dist = rng.uniform(0.0, 1.0, (h, w))
+                r = rng.uniform(0.2, 0.8, b)
+                for tt in range(1, t + 1) if t < 12 else (t - 1, t):
+                    level = np.zeros((b, w), np.min_scalar_type(t))
+                    count(dist, 0, tt, r, np.empty(2 * h * w, bool), level)
+                    holds = np.tri(b, w, tt - 1, bool) & ~np.tri(b, w, -1, bool)
+                    want = ((dist <= r[:, None, None]) & holds[:, None, :]).sum(axis=2)
+                    assert np.array_equal(level[:, :h], want), (b, t, tt)
+
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_volatility_break_bit_identical_to_window_loop(self, monkeypatch, m):
         # Windows across the break have tolerances more than 10x apart in

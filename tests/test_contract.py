@@ -274,6 +274,9 @@ EXTREME_INPUTS = {
     "up to 1.7e308": np.linspace(1e307, 1.7e308, 60),
     "subnormals": _RNG.integers(1, 2**20, 60) * 5e-324,
     "1e300 dynamic range": _RNG.choice([-1.0, 1.0], 60) * 10.0 ** _RNG.uniform(-150, 150, 60),
+    "1e200 then 1e-150": np.concatenate(
+        (1e200 * _RNG.normal(size=30), 1e-150 * _RNG.normal(size=30))
+    ),
 }
 
 
@@ -312,3 +315,13 @@ def test_extreme_inputs_give_a_finite_answer_or_a_tailscope_error(call, values):
     if call == "rolling coeff_variation":
         got = got[~np.isnan(got)]
     assert np.isfinite(got).all()
+
+
+@pytest.mark.parametrize("values", EXTREME_INPUTS)
+def test_rolling_sd_is_each_windows_summarize_to_the_bit(values):
+    v = EXTREME_INPUTS[values]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rolling(v.copy(), 20, "std_dev").values
+        want = np.array([summarize(v[i : i + 20]).std_dev for i in range(v.size - 19)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))

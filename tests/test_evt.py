@@ -242,6 +242,15 @@ class TestClassifyShape:
         with pytest.raises(InvalidParameterError):
             classify_shape([1.0, 1.0, 2.0, 3.0, 4.0], [1.0] * 5)
 
+    def test_thresholds_meeting_on_the_unit_scale_leave_a_rise_unclassified(self):
+        # On the scale of 1e200 the 1e-150 thresholds all flush to zero, so
+        # the convexity vote has no slope change to take between them.
+        a = np.concatenate((1e-150 * np.arange(1.0, 11.0), 1e200 * np.arange(1.0, 11.0)))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert classify_shape(a, a) is MefShape.UNCLASSIFIED
+            mean_excess(a)  # classifies its own curve without a warning
+
     def test_affine_threshold_invariance(self):
         rng = np.random.default_rng(40)
         a = np.sort(rng.integers(1, 2**16, 40)) / 2**6

@@ -200,3 +200,56 @@ def test_kurtosis_where_fourth_powers_go_subnormal(scale):
     values = np.random.default_rng(0).uniform(1.0, 2.0, 50)
     got = summarize(values * scale).excess_kurtosis
     assert got == pytest.approx(summarize(values).excess_kurtosis, rel=1e-12)
+
+
+def _summarize_each_window(values, window):
+    return np.array([summarize(values[i : i + window]).std_dev
+                     for i in range(len(values) - window + 1)])
+
+
+def test_rolling_sd_of_windows_far_below_the_series_scale():
+    # On the series' unit scale the 1e-150 draws go subnormal or to zero, so
+    # those windows once read 0.0; each now takes its own scale.
+    rng = np.random.default_rng(46)
+    values = np.concatenate((1e200 * rng.normal(size=30), 1e-150 * rng.normal(size=30)))
+    got = rolling(values, 10, "std_dev").values
+    want = _summarize_each_window(values, 10)
+    assert (got[30:] > 7e-151).all()
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+def test_rolling_sd_bit_identical_to_summarize_over_mixed_magnitudes():
+    # Runs of draws, or of zeros, at magnitudes 2**-1000 to 2**1000 in one
+    # series: every window's SD has summarize's bits, however far below the
+    # series' largest value the window lies.
+    rng = np.random.default_rng(4600)
+    for case in range(300):
+        runs = []
+        for _ in range(rng.integers(1, 6)):
+            size, scale = int(rng.integers(1, 30)), int(rng.integers(-1000, 1001))
+            runs.append(np.ldexp(rng.normal(size=size), scale) * (rng.random() > 0.1))
+        values = np.concatenate(runs)
+        if values.size < 2:
+            continue
+        window = int(rng.integers(2, min(values.size, 25) + 1))
+        got = rolling(values, window, "std_dev").values
+        want = _summarize_each_window(values, window)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64)), case
+
+
+def test_rolling_sd_of_a_returns_series_never_calls_summarize(monkeypatch):
+    # Only a series with a nonzero value 2**400 below its largest looks for
+    # windows to take on their own scale; daily returns and prices have none.
+    stats_module = importlib.import_module("tailscope.stats")
+
+    def refuse(values):
+        raise AssertionError("rolling called summarize")
+
+    monkeypatch.setattr(stats_module, "summarize", refuse)
+    rng = np.random.default_rng(100)
+    returns = 0.01 * rng.standard_t(4, 7_300)
+    returns[::50] = 0.0
+    prices = 100.0 * np.exp(np.cumsum(returns))
+    for values in (returns, prices):
+        for window in (2, 20, 100):
+            rolling(values, window, "std_dev")
