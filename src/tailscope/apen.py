@@ -40,9 +40,10 @@ _BLOCK_ROWS = 128
 _CHUNK_CELLS = 4_194_304
 # Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and fills
 # their distances a slab of rows at a time. A slab holds at most an eighth of
-# _ROLLING_CELLS float64 cells (its differences m more rows and columns), and
-# no mask, index or membership array passes _ROLLING_CELLS bytes (256 KB);
-# only the per-window count tables grow with the window, linearly. A chunk
+# _ROLLING_CELLS float64 cells, its differences (up to m more rows and
+# columns) at most twice that, whatever m is, and no mask, index or
+# membership array passes _ROLLING_CELLS bytes (256 KB); only the
+# per-window count tables grow with the window, linearly. A chunk
 # whose windows' blocks hold at most _DENSE_RATIO times the cells of its
 # distance matrix compares each block with its own tolerance instead of
 # splitting the cells at the chunk's tolerance range.
@@ -444,9 +445,10 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
     once, and ``_count`` adds each slab to the counts of every window of the
     chunk. Coordinate k's differences are coordinate 0's k rows and k
     columns on, so a slab folds each coordinate in as a shifted view of one
-    matrix of differences |x_i - x_j| over m more rows and columns. As in
-    _phi_pair, the m counts are taken before the (m+1)-th coordinate is
-    folded in, and a trailing NaN stands in for the (m+1)-th coordinate of
+    matrix of differences |x_i - x_j| over m more rows and columns, or, when
+    m is large against the slab, of one such matrix per run of coordinates.
+    As in _phi_pair, the m counts are taken before the (m+1)-th coordinate
+    is folded in, and a trailing NaN stands in for the (m+1)-th coordinate of
     the series' last template, which no m + 1 count uses. Every count is
     the integer that apen counts for that window alone, and each window's
     logarithms are summed in the same order, so every value is the one apen
@@ -458,7 +460,10 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
     chunk = min(_ROLLING_WINDOWS, total)
     width = chunk + t - 1
     rows = max(1, min(width, _ROLLING_CELLS // 8 // width))
-    dist_buf, diff_buf = np.empty(rows * width), np.empty((rows + m) * (width + m))
+    # One difference matrix serves coordinates k .. k + span, as many as keep
+    # it within twice the slab's cells, so it does not grow with m squared.
+    span = next(q for q in range(m, -1, -1) if (rows + q) * (width + q) <= 2 * rows * width)
+    dist_buf, diff_buf = np.empty(rows * width), np.empty((rows + span) * (width + span))
     # Two slab masks, or a full chunk's blocks when it compares them whole.
     blocks = chunk * t * t if _compares_blocks(chunk, t, min(rows, width), width) else 0
     mask_buf = np.empty(max(2 * rows * width, blocks), bool)
@@ -474,18 +479,23 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
         r_b = r[first : first + b]
         for top in range(0, w, rows):
             h = min(rows, w - top)
-            # diff[i, j] = |x[first + top + i] - x[first + j]|, so coordinate
-            # k's distances are diff[k : k + h, k : k + w].
-            diff = diff_buf[: (h + m) * (w + m)].reshape(h + m, w + m)
-            x = ext[first + top : first + top + h + m]
-            np.subtract.outer(x, ext[first : first + w + m], out=diff)
-            np.abs(diff, out=diff)
             dist = dist_buf[: h * w].reshape(h, w)  # contiguous, for _count_dense's views
-            np.copyto(dist, diff[:h, :w])
-            for k in range(1, m + 1):
+            for k in range(m + 1):
+                s = k % (span + 1)
+                if s == 0:
+                    # diff[i, j] = |x[first + top + k + i] - x[first + k + j]|, so
+                    # coordinate k + s's distances are diff[s : s + h, s : s + w].
+                    q = min(span, m - k)
+                    diff = diff_buf[: (h + q) * (w + q)].reshape(h + q, w + q)
+                    x = ext[first + top + k : first + top + k + h + q]
+                    np.subtract.outer(x, ext[first + k : first + k + w + q], out=diff)
+                    np.abs(diff, out=diff)
+                if k == 0:
+                    np.copyto(dist, diff[:h, :w])
+                    continue
                 if k == m:
                     _count(dist, top, t, r_b, mask_buf, level[0])
-                np.maximum(dist, diff[k : k + h, k : k + w], out=dist)
+                np.maximum(dist, diff[s : s + h, s : s + w], out=dist)
             # Row t - 1 is no (m+1)-template of its window: counted, not used.
             _count(dist, top, t - 1, r_b, mask_buf, level[1])
         s0, s1, s2 = level.strides

@@ -27,7 +27,7 @@ _CV_MEAN_FLOOR = 1e-12
 # temporaries stay near 512 KB whatever the series length.
 _ROLLING_BLOCK_CELLS = 65_536
 # A window all of whose values lie below 2**-_SD_SHIFT on the series' unit
-# scale takes its SD from summarize: a value below 2**-s has an ulp down to
+# scale takes its SD on a lower scale: a value below 2**-s has an ulp down to
 # 2**-(s + 53), whose square is normal (2**-1022 and up) only while s <= 458.
 _SD_SHIFT = 400
 
@@ -114,7 +114,8 @@ def rolling(
     windows at once, and compares only those between its smallest and largest
     tolerance window by window (see ``apen._rolling_apen``). Every value is
     bit-identical to the statistic of its window alone on that scale, or, for
-    an SD window all below 2**(e - 400), to that window's ``summarize``.
+    an SD window all below 2**(e - 400), on the scale of its run of such
+    values (``_rolling_sd_by_runs``), which gives its ``summarize`` SD.
     """
     arr = _as_float64(values)
     stat = RollingStatistic(statistic)
@@ -139,16 +140,26 @@ def rolling(
         r = params.tolerances(n - window + 1, e, lambda: _rolling_sd(unit, window))
         out = _rolling_apen(unit, window, params.m, r)
     elif stat is RollingStatistic.STD_DEV:
-        out = _from_unit_scale(_rolling_sd(unit, window), e, "the standard deviation")
-        small = np.abs(arr) < np.ldexp(1.0, e - _SD_SHIFT)
-        if np.any(small & (arr != 0)):  # else every such window is zeros: SD 0 either way
-            deep = np.flatnonzero(sliding_window_view(small, window).all(axis=1))
-            out[deep] = [summarize(arr[i : i + window]).std_dev for i in deep]
+        out = _rolling_sd_by_runs(arr, unit, e, window)
     else:
         mean = sliding_window_view(unit, window).mean(axis=1)
         out = np.divide(_rolling_sd(unit, window), mean, out=np.full_like(mean, np.nan),
                         where=np.abs(mean) >= _CV_MEAN_FLOOR)
     return RollingSeries(stat, window, labels, out)
+
+
+def _rolling_sd_by_runs(arr: np.ndarray, unit: np.ndarray, e: int, window: int) -> np.ndarray:
+    """Sample SD of every window of ``arr`` (``unit`` on its scale 2**e), in data
+    units. Each run of values below 2**(e - _SD_SHIFT), a window long or more,
+    is taken again on its own scale, where none go subnormal, and so on down."""
+    out = _from_unit_scale(_rolling_sd(unit, window), e, "the standard deviation")
+    small = np.abs(arr) < np.ldexp(1.0, e - _SD_SHIFT)
+    if np.any(small & (arr != 0)):  # else every such window is zeros: SD 0 either way
+        bounds = np.flatnonzero(np.diff(small, prepend=False, append=False)).reshape(-1, 2)
+        for start, stop in bounds[bounds[:, 1] - bounds[:, 0] >= window]:
+            run = arr[start:stop]
+            out[start : stop - window + 1] = _rolling_sd_by_runs(run, *_unit_scale(run), window)
+    return out
 
 
 def _rolling_sd(arr: np.ndarray, window: int) -> np.ndarray:

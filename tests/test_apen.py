@@ -571,6 +571,22 @@ class TestBatchedRollingApen:
         params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
         self._assert_every_chunking(monkeypatch, data, (m + 2, 7, 30, 100, 257), params)
 
+    @pytest.mark.parametrize("name", ["gauss", "lattice"])
+    @pytest.mark.parametrize("m", [5, 9])
+    def test_coordinates_in_runs_bit_identical_to_window_loop(self, monkeypatch, name, m):
+        # Slabs of four rows let one difference matrix serve only four
+        # coordinates at window 30, so the fold rebuilds it on the way and
+        # the last run of coordinates is short; at window 100 a slab is one
+        # row and each coordinate takes its own matrix.
+        apen_module = importlib.import_module("tailscope.apen")
+        monkeypatch.setattr(apen_module, "_ROLLING_WINDOWS", 7)
+        monkeypatch.setattr(apen_module, "_ROLLING_CELLS", 1_024)
+        data = _rolling_inputs(260)[name]
+        params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
+        for window in (30, 31, 100):
+            got = rolling(data, window, "apen", apen_params=params).values
+            assert np.array_equal(got, rolling_apen_loop(data, window, params)), window
+
     def test_window_membership_matches_a_tri_reference(self):
         # _count tests "window b holds column j" as j - b < tt in the
         # narrowest unsigned type that holds the chunk's width w; np.tri
@@ -646,6 +662,19 @@ class TestBatchedRollingApen:
         finally:
             tracemalloc.stop()
         assert peak <= 2 * 2**20, peak
+
+    def test_peak_memory_stays_bounded_at_long_templates(self):
+        # At m = 900 one difference matrix over m more rows and columns than
+        # the slab would take 8.8 MB; runs of coordinates share a matrix
+        # within twice the slab instead, and the peak was 744,824 bytes.
+        data = 0.02 * np.random.default_rng(3650).standard_t(4, 1_100)
+        tracemalloc.start()
+        try:
+            rolling(data, 1_000, "apen", apen_params=ApenParams(m=900))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2**20, peak
 
     def test_constant_run_raises_zero_tolerance(self):
         data = np.random.default_rng(12).normal(size=300)

@@ -237,15 +237,23 @@ def test_rolling_sd_bit_identical_to_summarize_over_mixed_magnitudes():
         assert np.array_equal(got.view(np.int64), want.view(np.int64)), case
 
 
-def test_rolling_sd_of_a_returns_series_never_calls_summarize(monkeypatch):
-    # Only a series with a nonzero value 2**400 below its largest looks for
-    # windows to take on their own scale; daily returns and prices have none.
+def _count_rolling_sd_passes(monkeypatch):
     stats_module = importlib.import_module("tailscope.stats")
+    passes = []
+    inner = stats_module._rolling_sd
 
-    def refuse(values):
-        raise AssertionError("rolling called summarize")
+    def counted(arr, window):
+        passes.append(arr.size)
+        return inner(arr, window)
 
-    monkeypatch.setattr(stats_module, "summarize", refuse)
+    monkeypatch.setattr(stats_module, "_rolling_sd", counted)
+    return passes
+
+
+def test_rolling_sd_of_returns_and_prices_takes_one_pass(monkeypatch):
+    # Only a series with a nonzero value 2**400 below its largest looks for
+    # runs to take again on their own scale; daily returns and prices have none.
+    passes = _count_rolling_sd_passes(monkeypatch)
     rng = np.random.default_rng(100)
     returns = 0.01 * rng.standard_t(4, 7_300)
     returns[::50] = 0.0
@@ -253,3 +261,16 @@ def test_rolling_sd_of_a_returns_series_never_calls_summarize(monkeypatch):
     for values in (returns, prices):
         for window in (2, 20, 100):
             rolling(values, window, "std_dev")
+    assert passes == [7_300] * 6
+
+
+def test_rolling_sd_takes_one_pass_per_run_far_below_the_series_scale(monkeypatch):
+    # One spike above 10**5 tiny draws: the draws are one run, reduced in one
+    # vectorized pass on their own scale, not one window at a time.
+    passes = _count_rolling_sd_passes(monkeypatch)
+    rng = np.random.default_rng(47)
+    values = np.concatenate(([1e200], 1e-150 * rng.normal(size=100_000)))
+    got = rolling(values, 20, "std_dev").values
+    assert passes == [100_001, 100_000]
+    assert np.array_equal(got[1:], rolling(values[1:], 20, "std_dev").values)
+    assert (got[1:] > 1e-151).all()
