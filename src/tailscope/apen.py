@@ -32,10 +32,12 @@ from .errors import (
 # than _CHUNK_CELLS cells of 4 bytes (~16 MB), whatever N is. A block of
 # sorted rows spans its own rows' columns and then the half band past them,
 # while each block also costs a fixed twenty-odd numpy calls: 128 rows
-# balances the two (a sweep of 64 to 256 rows on the six bench series, made
-# before bit rows took them over), and a series shorter than two blocks is
-# one block. Sorted blocks now run on more than 5,760 values, runs too
-# narrow for bit rows, numpy < 2 or m >= 64 (_bit_rows).
+# balances the two, and a series shorter than two blocks is one block. On
+# walks, returns, a plateau, a Gaussian and lattices of 300 to 20,000 values
+# (m = 1 to 3, 2-vCPU VM, numpy 2.4), 64 rows took 0.80-1.34x the time of
+# 128, 96 rows 0.89-1.15x, 192 rows 0.82-1.19x and 256 rows 0.78-1.28x: none
+# was as fast on every series. Sorted blocks run on more than 5,760 values,
+# runs too narrow for bit rows, numpy < 2 or m >= 64 (_bit_rows).
 _BLOCK_ROWS = 128
 _CHUNK_CELLS = 4_194_304
 # Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and fills
@@ -50,13 +52,6 @@ _CHUNK_CELLS = 4_194_304
 _ROLLING_WINDOWS = 48
 _ROLLING_CELLS = 262_144
 _DENSE_RATIO = 8
-# Testing a block for columns that match all its rows and gathering the
-# rest cost ~20 us per block and ~4 cells per column on a 2-vCPU VM (numpy
-# 2.4). _gathers asks for four times that per column, so a block whose
-# gather would only break even stays whole. Before bit rows took them over,
-# the bench series ran within 2% at a quarter and at four times these.
-_GATHER_CELLS = 16
-_GATHER_FIXED = 2_000
 # Bit rows (_bit_counts) take _BIT_ROWS templates at a time (128 and 512 ran
 # within 5% of 256 on the bench series), and only where their N**2 / 8-byte
 # prefix bitset fits _BIT_BYTES (N <= 5,760) and a row, at _WORD_CELLS block
@@ -188,7 +183,7 @@ def _bit_rows(by_index, m: int) -> bool:
     shift passes a word's 64 places, and a prefix bitset within _BIT_BYTES.
     They cost about _WORD_CELLS cells per word of a row, ceil(N / 64) words,
     where a sorted block costs each row about half its run and the block's
-    own rows, as in _gathers.
+    own rows (_block_counts).
     """
     n = by_index.shape[1] - 1
     words = -(-n // 64)
@@ -282,16 +277,16 @@ def _block_counts(sort, by_index, t: int, m: int) -> np.ndarray:
 
     A block whose rows lie close together, as on a price plateau, can have
     columns past its square within r of every row in every coordinate.
-    Those match every row at m and at m + 1, so they are counted for the
-    whole block without comparing a cell (``_unmatched``), and only the
-    square and the other columns are compared, gathered, when that pays.
-    The counts are scattered back to template order.
+    Those match every row at m and at m + 1. Every block is tested for them
+    (``_unmatched``): they are counted for the whole block without comparing
+    a cell, and a block that has any compares only its square and the other
+    columns, gathered. The counts are scattered back to template order.
     """
     # ``order`` sorts the templates by their first coordinate, stably.
     # ranks[k, p], lo[k, p] and width[k, p] are the rank and run of the k-th
-    # coordinate of the p-th sorted template.
+    # coordinate of the p-th sorted template, each row contiguous.
     order = sort[sort < t]
-    ranks, lo, width = by_index[:, np.arange(m + 1)[:, None] + order]
+    ranks, lo, width = np.take(by_index, np.arange(m + 1)[:, None] + order, axis=1)
     hi = np.searchsorted(ranks[0], lo[0] + width[0])
     rows = t if t < 2 * _BLOCK_ROWS else max(1, min(_BLOCK_ROWS, _CHUNK_CELLS // t))
     starts = np.arange(0, t, rows)
@@ -301,29 +296,18 @@ def _block_counts(sort, by_index, t: int, m: int) -> np.ndarray:
     buffers = np.empty(cells, ranks.dtype), np.empty(cells, bool), np.empty(cells, bool)
     # Block b's rows all hold the ranks [floor, floor + room) in their runs
     # in each coordinate: a column matches every row of the block just when
-    # its ranks lie there. Its candidates (the columns from stop to the end
-    # of its first row's band) spread over about one run, so a block is
-    # tested only if the share of a run that it holds would pay for the
-    # gather; a block holding the last template's empty run never does.
+    # its ranks lie there.
     floor = np.maximum.reduceat(lo, starts, axis=1)
     top = np.minimum.reduceat(lo + width, starts, axis=1)
     room = top - np.minimum(floor, top)
-    share = np.min(room / np.maximum(width[:, starts], 1), axis=0)
-    candidates = np.maximum(hi[starts] - stops, 0)
-    promising = _gathers(stops - starts, ends - starts, candidates * share).tolist()
     # No count exceeds t, so the narrowest unsigned type that holds t holds
     # every count, and every partial sum of it, exactly; the match mask,
     # viewed as uint8, sums into it without a cast to a wider type.
     counts = np.zeros((2, t), dtype=np.min_scalar_type(t))
-    # whole[j]: the number of blocks all of whose rows column j matches.
-    # Each has ``rows`` rows: only the last block can have fewer, and it has
-    # no columns past its square.
-    whole = np.zeros(t, dtype=counts.dtype)
-    blocks = zip(starts.tolist(), stops.tolist(), ends.tolist(), promising, floor.T, room.T)
-    for start, stop, end, promise, least, span in blocks:
-        h, cols = stop - start, None
-        if promise:
-            cols = _unmatched(ranks, least, span, start, stop, end, int(hi[start]), counts, whole)
+    blocks = zip(starts.tolist(), stops.tolist(), ends.tolist(), floor.T, room.T)
+    for start, stop, end, least, span in blocks:
+        h = stop - start
+        cols = _unmatched(ranks, least, span, start, stop, end, int(hi[start]), counts)
         if cols is None:
             block, past = ranks[:, start:end], slice(stop, end)
         else:
@@ -331,42 +315,33 @@ def _block_counts(sort, by_index, t: int, m: int) -> np.ndarray:
         rows_lo, rows_width = lo[:, start:stop], width[:, start:stop]
         for level, within in enumerate(_matches(block, rows_lo, rows_width, *buffers)):
             _add_matches(within.view(np.uint8), counts[level], slice(start, stop), past)
-    np.multiply(whole, rows, out=whole)
-    counts += whole
     counts[:, order] = counts.copy()
     return counts
 
 
-def _unmatched(ranks, floor, room, start, stop, end, last, counts, whole):
+def _unmatched(ranks, floor, room, start, stop, end, last, counts):
     """The columns that block [start, stop) must still compare cell by cell,
     as indices with the block's own square first; or None, with nothing
-    counted, when the cells saved would not pay for the gather.
+    counted, when no column matches the whole block.
 
     A column j in [stop, last) whose rank lies in [floor, floor + room) in
-    every coordinate lies in every row's run there (see _phi_pair): it
-    matches every row at m and at m + 1. Each row's counts gain the number
-    of such columns, and each one's ``whole`` one.
+    every coordinate lies in every row's run there (see _runs): it matches
+    every row at m and at m + 1. Each row's counts gain the number of such
+    columns, and each such column's counts the block's number of rows.
     """
     gap = ranks[:, stop:last] - floor[:, None]  # wraps below floor, as in _runs
     full = np.less(gap, room[:, None]).all(axis=0)
     k = int(np.count_nonzero(full))
-    h = stop - start
-    if not _gathers(h, end - start, k):
+    if not k:
         return None
+    h = stop - start
     counts[:, start:stop] += k
-    np.add(whole[stop:last], full, out=whole[stop:last])
+    counts[:, stop:last] += full.view(np.uint8) * counts.dtype.type(h)
     keep = np.ones(end - start, dtype=bool)
     np.logical_not(full, out=keep[h : last - start])
     cols = np.flatnonzero(keep)
     cols += start
     return cols
-
-
-def _gathers(h, n, k):
-    """Whether a block of h rows and n columns, k of which match every row,
-    compares only the other columns, gathered (see _unmatched): the cells
-    saved must pay for testing and gathering the block's columns."""
-    return h * k > _GATHER_CELLS * n + _GATHER_FIXED
 
 
 def _matches(ranks, lo, width, diff_buf, mask_buf, scratch_buf):

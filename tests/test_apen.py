@@ -228,6 +228,11 @@ def _direct_whole_block(name, m):
     return apen_direct(data, m, r)
 
 
+@functools.lru_cache(maxsize=None)
+def _direct_walk(m):
+    return apen_direct(_kernel_inputs()["walk"], m, 1.0)
+
+
 class TestBandKernel:
     """The sorted-band kernel against the direct count and the dense kernel."""
 
@@ -296,23 +301,59 @@ class TestBandKernel:
                 want = apen_dense(data, m, params.resolve_r(data))
                 assert apen(data, params) == want, (name, m)
 
-    # Blocks of 1, 2, 3 and the default number of rows, under the cost rule
-    # as it is and under one that gathers whenever a column matches a block.
-    @pytest.mark.parametrize("always", [False, True])
+    # Blocks of 1, 2, 3 and the default number of rows.
     @pytest.mark.parametrize("rows", [1, 2, 3, None])
     @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_columns_matching_whole_blocks(self, monkeypatch, m, rows, always):
+    def test_columns_matching_whole_blocks(self, monkeypatch, m, rows):
         _force_kernel(monkeypatch, "blocks")
         apen_module = importlib.import_module("tailscope.apen")
         if rows is not None:
             monkeypatch.setattr(apen_module, "_BLOCK_ROWS", rows)
-        if always:
-            monkeypatch.setattr(apen_module, "_GATHER_CELLS", 0)
-            monkeypatch.setattr(apen_module, "_GATHER_FIXED", 0)
         for name, (data, r) in _whole_block_inputs().items():
             value = apen(data, _absolute(m, r))
             assert value == apen_dense(data, m, r), name
             assert value == pytest.approx(_direct_whole_block(name, m), abs=1e-12), name
+
+    # On the walk at r = 1, some blocks of 3 rows hold a few columns that
+    # match the whole block, and such a block compares the rest gathered.
+    @pytest.mark.parametrize("rows", [1, 2, 3, None])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_walk_gathers_blocks_with_whole_columns(self, monkeypatch, m, rows):
+        _force_kernel(monkeypatch, "blocks")
+        apen_module = importlib.import_module("tailscope.apen")
+        if rows is not None:
+            monkeypatch.setattr(apen_module, "_BLOCK_ROWS", rows)
+        unmatched, gathered = apen_module._unmatched, []
+
+        def recording(*args):
+            cols = unmatched(*args)
+            gathered.append(cols is not None)
+            return cols
+
+        monkeypatch.setattr(apen_module, "_unmatched", recording)
+        data = _kernel_inputs()["walk"]
+        value = apen(data, _absolute(m, 1.0))
+        assert value == apen_dense(data, m, 1.0)
+        assert value == pytest.approx(_direct_walk(m), abs=1e-12)
+        if rows == 3:
+            assert any(gathered)
+
+    def test_block_rows_are_contiguous(self, monkeypatch):
+        # Every rank and run row that _matches compares has a unit inner
+        # stride, gathered or sliced.
+        _force_kernel(monkeypatch, "blocks")
+        apen_module = importlib.import_module("tailscope.apen")
+        matches, seen = apen_module._matches, []
+
+        def checking(ranks, lo, width, *buffers):
+            seen.extend(a.strides[1] == a.itemsize for a in (ranks, lo, width))
+            return matches(ranks, lo, width, *buffers)
+
+        monkeypatch.setattr(apen_module, "_matches", checking)
+        data = np.random.default_rng(2_000).normal(size=2_000)
+        for m in (1, 2, 3):
+            apen(data, ApenParams(m=m))
+        assert seen and all(seen)
 
     def test_plateau_compares_under_half_of_its_band(self, monkeypatch):
         # Most plateau columns match every row of their block: the kernel
@@ -330,7 +371,7 @@ class TestBandKernel:
         value = apen(data)
         compared = sum(asked)
         asked.clear()
-        monkeypatch.setattr(apen_module, "_GATHER_FIXED", math.inf)  # every cell compared
+        monkeypatch.setattr(apen_module, "_unmatched", lambda *args: None)  # every cell compared
         assert apen(data) == value
         assert compared < sum(asked) / 2, (compared, sum(asked))
 
