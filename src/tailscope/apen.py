@@ -45,10 +45,12 @@ _CHUNK_CELLS = 4_194_304
 # _ROLLING_CELLS float64 cells, its differences (up to m more rows and
 # columns) at most twice that, whatever m is, and no mask, index or
 # membership array passes _ROLLING_CELLS bytes (256 KB); only the
-# per-window count tables grow with the window, linearly. A chunk
-# whose windows' blocks hold at most _DENSE_RATIO times the cells of its
-# distance matrix compares each block with its own tolerance instead of
-# splitting the cells at the chunk's tolerance range.
+# per-window count tables grow with the window, linearly. Short windows
+# leave most of a chunk's cells in no window, and their tolerances swing
+# widely: where a chunk's distances are one slab and its windows' blocks
+# hold at most _DENSE_RATIO times their cells (t <= 32 at 48 windows), each
+# block is compared whole with its own tolerance (_count_dense), not split
+# at the chunk's tolerance range (_count).
 _ROLLING_WINDOWS = 48
 _ROLLING_CELLS = 262_144
 _DENSE_RATIO = 8
@@ -295,10 +297,10 @@ def _block_counts(sort, by_index, t: int, m: int) -> np.ndarray:
     cells = int(((stops - starts) * (ends - starts)).max())
     buffers = np.empty(cells, ranks.dtype), np.empty(cells, bool), np.empty(cells, bool)
     # Block b's rows all hold the ranks [floor, floor + room) in their runs
-    # in each coordinate: a column matches every row of the block just when
-    # its ranks lie there.
-    floor = np.maximum.reduceat(lo, starts, axis=1)
-    top = np.minimum.reduceat(lo + width, starts, axis=1)
+    # in each coordinate past the first: a column matches every row of the
+    # block just when its ranks lie there and in the rows' first runs.
+    floor = np.maximum.reduceat(lo[1:], starts, axis=1)
+    top = np.minimum.reduceat(lo[1:] + width[1:], starts, axis=1)
     room = top - np.minimum(floor, top)
     # No count exceeds t, so the narrowest unsigned type that holds t holds
     # every count, and every partial sum of it, exactly; the match mask,
@@ -324,12 +326,14 @@ def _unmatched(ranks, floor, room, start, stop, end, last, counts):
     as indices with the block's own square first; or None, with nothing
     counted, when no column matches the whole block.
 
-    A column j in [stop, last) whose rank lies in [floor, floor + room) in
-    every coordinate lies in every row's run there (see _runs): it matches
-    every row at m and at m + 1. Each row's counts gain the number of such
-    columns, and each such column's counts the block's number of rows.
+    A column j in [stop, last) lies in every row's first run: ranks[0] is
+    sorted and runs end in rank order, and j's rank lies past the rows' and
+    before the first row's run end. When its other ranks lie in [floor, floor
+    + room), it lies in every row's runs (see _runs) and matches every row at
+    m and at m + 1. Each row's counts gain the number of such columns, and
+    each such column's counts the block's number of rows.
     """
-    gap = ranks[:, stop:last] - floor[:, None]  # wraps below floor, as in _runs
+    gap = ranks[1:, stop:last] - floor[:, None]  # wraps below floor, as in _runs
     full = np.less(gap, room[:, None]).all(axis=0)
     k = int(np.count_nonzero(full))
     if not k:
@@ -417,8 +421,8 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
     are the diagonal block D[b:b+t, b:b+t] of one matrix D over all
     templates. A chunk of consecutive windows fills the part of D its blocks
     cover a slab of rows at a time, so each of its distances is computed
-    once, and ``_count`` adds each slab to the counts of every window of the
-    chunk. Coordinate k's differences are coordinate 0's k rows and k
+    once, and ``_count`` (or ``_count_dense``) adds each slab to the counts
+    of every window. Coordinate k's differences are coordinate 0's k rows and k
     columns on, so a slab folds each coordinate in as a shifted view of one
     matrix of differences |x_i - x_j| over m more rows and columns, or, when
     m is large against the slab, of one such matrix per run of coordinates.
@@ -439,9 +443,11 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
     # it within twice the slab's cells, so it does not grow with m squared.
     span = next(q for q in range(m, -1, -1) if (rows + q) * (width + q) <= 2 * rows * width)
     dist_buf, diff_buf = np.empty(rows * width), np.empty((rows + span) * (width + span))
-    # Two slab masks, or a full chunk's blocks when it compares them whole.
-    blocks = chunk * t * t if _compares_blocks(chunk, t, min(rows, width), width) else 0
-    mask_buf = np.empty(max(2 * rows * width, blocks), bool)
+    # One exact counter for every chunk, slab and level (see the constants);
+    # mask_buf holds a chunk's blocks, or two slab masks.
+    dense = rows == width and chunk * t * t <= _DENSE_RATIO * width * width
+    mask_buf = np.empty(chunk * t * t if dense else 2 * rows * width, bool)
+    count = _count_dense if dense else _count
     dtype = np.min_scalar_type(t)  # as in _phi_pair
     level_buf = np.empty(2 * chunk * width, dtype)
     out = np.empty(total)
@@ -469,10 +475,10 @@ def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.nda
                     np.copyto(dist, diff[:h, :w])
                     continue
                 if k == m:
-                    _count(dist, top, t, r_b, mask_buf, level[0])
+                    count(dist, top, t, r_b, mask_buf, level[0])
                 np.maximum(dist, diff[s : s + h, s : s + w], out=dist)
             # Row t - 1 is no (m+1)-template of its window: counted, not used.
-            _count(dist, top, t - 1, r_b, mask_buf, level[1])
+            count(dist, top, t - 1, r_b, mask_buf, level[1])
         s0, s1, s2 = level.strides
         counts = np.ndarray((2, b, t), dtype, level, 0, (s0, s1 + s2, s2))
         step = max(1, dist_buf.size // t)
@@ -494,7 +500,7 @@ def _phi(counts: np.ndarray, buf: np.ndarray) -> np.ndarray:
 
 
 def _count(dist, top, tt, r, mask_buf, level) -> None:
-    """Count the matches of one slab of a chunk's distances in each window.
+    """Count one slab's matches in each window, split at the tolerance range.
 
     ``dist`` holds rows top .. top + h - 1 of the chunk's distance matrix
     against all its w columns. Window b holds columns [b, b + tt), and its
@@ -509,18 +515,9 @@ def _count(dist, top, tt, r, mask_buf, level) -> None:
     j - b < tt in an unsigned type that holds w, where j < b wraps to at
     least w + 1 - b > tt (as in _runs). In absolute mode lo = hi, and no
     cell is ambiguous.
-
-    A chunk of short windows is mostly cells that no window holds, and its
-    tolerances swing widely. So when its distances are one slab and its
-    windows' blocks hold at most _DENSE_RATIO times its cells, each block is
-    compared with its own tolerance instead (``_count_dense``). Both give the
-    exact counts, so the choice cannot change a value.
     """
     h, w = dist.shape
     b = level.shape[0]
-    if _compares_blocks(b, tt, h, w):
-        _count_dense(dist, tt, r, mask_buf, level)
-        return
     lo, hi = r.min(), r.max()
     out = level[:, top : top + h]
     sure = mask_buf[: h * w].reshape(h, w)
@@ -548,30 +545,22 @@ def _count(dist, top, tt, r, mask_buf, level) -> None:
         out[:, g[starts]] += np.add.reduceat(held.view(np.uint8), starts, axis=1, dtype=out.dtype)
 
 
-def _compares_blocks(windows: int, tt: int, h: int, w: int) -> bool:
-    """Whether a chunk of ``windows`` windows, whose slab is h of its w rows,
-    compares each window's tt x tt block whole (see _count)."""
-    return h == w and windows * tt * tt <= _DENSE_RATIO * w * w
-
-
-def _count_dense(dist, tt, r, mask_buf, level) -> None:
+def _count_dense(dist, top, tt, r, mask_buf, level) -> None:
     """Matches within r[b] of each of the tt rows of window b's block, for
-    every window b, with ``dist`` the whole of its chunk's distance matrix.
+    every window b, with ``dist`` its chunk's whole distance matrix (top 0).
 
     Window b's block starts at dist[b, b], and its counts go to the diagonal
     level[b, b:b+tt]: strided views lay the blocks, and the counts, side by
-    side without copying them, as many windows at a time as mask_buf holds.
+    side without copying them, so one comparison and one sum count them all.
     The views are built by the ndarray constructor, which checks that they
     stay inside their arrays; ``as_strided`` builds the same views several
     times slower.
     """
+    b = level.shape[0]
     s0, s1 = dist.strides
     l0, l1 = level.strides
-    step = max(1, mask_buf.size // (tt * tt))
-    for lb in range(0, level.shape[0], step):
-        n = min(step, level.shape[0] - lb)
-        blocks = np.ndarray((n, tt, tt), dist.dtype, dist, lb * (s0 + s1), (s0 + s1, s0, s1))
-        within = mask_buf[: n * tt * tt].reshape(n, tt, tt)
-        np.less_equal(blocks, r[lb : lb + n, None, None], out=within)
-        diag = np.ndarray((n, tt), level.dtype, level, lb * (l0 + l1), (l0 + l1, l1))
-        np.add.reduce(within.view(np.uint8), axis=2, dtype=level.dtype, out=diag)
+    blocks = np.ndarray((b, tt, tt), dist.dtype, dist, 0, (s0 + s1, s0, s1))
+    within = mask_buf[: b * tt * tt].reshape(b, tt, tt)
+    np.less_equal(blocks, r[:, None, None], out=within)
+    diag = np.ndarray((b, tt), level.dtype, level, 0, (l0 + l1, l1))
+    np.add.reduce(within.view(np.uint8), axis=2, dtype=level.dtype, out=diag)

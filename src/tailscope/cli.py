@@ -32,7 +32,7 @@ from .evt import fitted_slope, max_to_sum, mean_excess
 from .series import (
     Frequency, ReturnKind, _read_csv, fill_weekend, ingest_csv, log_returns, resample
 )
-from .stats import RollingStatistic, rolling, summarize
+from .stats import RollingStatistic, _min_window, rolling, summarize
 from .synth import Family, GeneratorSpec, _PARAMS, generate
 
 EXIT_OK = 0
@@ -426,7 +426,7 @@ def _resolve(args: argparse.Namespace) -> None:
         args.statistic = RollingStatistic(args.statistic)
         if args.window is None:
             args.window = DEFAULT_WINDOWS[args.frequency]
-        minimum = args.apen_params.min_length if args.statistic is RollingStatistic.APEN else 2
+        minimum = _min_window(args.statistic, args.apen_params)
         if args.window < minimum:
             raise ConfigError(f"--window must be >= {minimum} for {args.statistic.value}")
     if "trim" in args and not 0.0 <= args.trim < 0.5:

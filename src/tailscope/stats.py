@@ -122,7 +122,7 @@ def rolling(
     n = arr.size
     window = _as_int(window, "window must be an integer")
     params = apen_params if apen_params is not None else ApenParams()
-    minimum = params.min_length if stat is RollingStatistic.APEN else 2
+    minimum = _min_window(stat, params)
     if window < minimum:
         message = f"window {window} is below the minimum {minimum} for {stat.value}"
         raise WindowTooSmallError(message)
@@ -146,6 +146,11 @@ def rolling(
         out = np.divide(_rolling_sd(unit, window), mean, out=np.full_like(mean, np.nan),
                         where=np.abs(mean) >= _CV_MEAN_FLOOR)
     return RollingSeries(stat, window, labels, out)
+
+
+def _min_window(stat: RollingStatistic, params: ApenParams) -> int:
+    """Fewest observations a window of ``stat`` takes: m + 2 for ApEn, else 2."""
+    return params.min_length if stat is RollingStatistic.APEN else 2
 
 
 def _rolling_sd_by_runs(arr: np.ndarray, unit: np.ndarray, e: int, window: int) -> np.ndarray:

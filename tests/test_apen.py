@@ -338,6 +338,38 @@ class TestBandKernel:
         if rows == 3:
             assert any(gathered)
 
+    @pytest.mark.parametrize("rows", [1, 3, None])
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_columns_past_a_block_lie_in_its_first_runs(self, monkeypatch, m, rows):
+        # _unmatched tests coordinates 1..m only: each column it tests,
+        # [stop, last), already lies in every row's coordinate-0 run.
+        _force_kernel(monkeypatch, "blocks")
+        apen_module = importlib.import_module("tailscope.apen")
+        if rows is not None:
+            monkeypatch.setattr(apen_module, "_BLOCK_ROWS", rows)
+        runs, unmatched, by_rank, tested = apen_module._runs, apen_module._unmatched, [], []
+
+        def recording(arr, r):
+            sort, by_index = runs(arr, r)
+            bounds = np.empty((2, arr.size + 1), np.int64)  # [lo, end) of each rank's run
+            bounds[:, by_index[0]] = by_index[1], by_index[1] + by_index[2].astype(np.int64)
+            by_rank[:] = [bounds]
+            return sort, by_index
+
+        def checking(ranks, floor, room, start, stop, end, last, counts):
+            lo, top = by_rank[0][:, ranks[0, start:stop], None]
+            cols = ranks[0, stop:last]
+            assert np.all((lo <= cols) & (cols < top)), (start, stop)
+            tested.append(cols.size)
+            return unmatched(ranks, floor, room, start, stop, end, last, counts)
+
+        monkeypatch.setattr(apen_module, "_runs", recording)
+        monkeypatch.setattr(apen_module, "_unmatched", checking)
+        series = {**_kernel_inputs(), "plateau": _plateau_growth(800)}
+        for name, data in series.items():
+            apen(data, _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m))
+        assert sum(tested)
+
     def test_block_rows_are_contiguous(self, monkeypatch):
         # Every rank and run row that _matches compares has a unit inner
         # stride, gathered or sliced.
@@ -559,7 +591,7 @@ class TestBatchedRollingApen:
         n = 260
         data = _rolling_inputs(n)[name]
         params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
-        for window in (m + 2, 7, 99, 100, 129, 256, 257, n):
+        for window in (m + 2, 7, m + 31, m + 32, 99, 100, 129, 256, 257, n):
             want = rolling_apen_loop(data, window, params)
             for windows, cells in self.CHUNKINGS:
                 with monkeypatch.context() as patch:
@@ -628,6 +660,26 @@ class TestBatchedRollingApen:
             got = rolling(data, window, "apen", apen_params=params).values
             assert np.array_equal(got, rolling_apen_loop(data, window, params)), window
 
+    @pytest.mark.parametrize("m", [1, 2, 3])
+    def test_one_counter_per_call(self, monkeypatch, m):
+        # At 48 windows a chunk, windows of t <= 32 templates compare their
+        # blocks whole in every chunk and at both levels; longer ones split
+        # every slab at its chunk's tolerance range.
+        apen_module = importlib.import_module("tailscope.apen")
+        calls = dict.fromkeys(["_count", "_count_dense"], 0)
+        for name in calls:
+            def counting(*args, name=name, count=getattr(apen_module, name)):
+                calls[name] += 1
+                return count(*args)
+
+            monkeypatch.setattr(apen_module, name, counting)
+        data = 0.02 * np.random.default_rng(3650).standard_t(4, 3_650)
+        for t in (4, 20, 32, 33, 34, 40, 99):
+            calls.update(_count=0, _count_dense=0)
+            rolling(data, t + m - 1, "apen", apen_params=ApenParams(m=m))
+            ran, idle = ("_count_dense", "_count") if t <= 32 else ("_count", "_count_dense")
+            assert calls[ran] and not calls[idle], (t, calls)
+
     def test_window_membership_matches_a_tri_reference(self):
         # _count tests "window b holds column j" as j - b < tt in the
         # narrowest unsigned type that holds the chunk's width w; np.tri
@@ -691,7 +743,7 @@ class TestBatchedRollingApen:
         for entry in self._every_chunking(monkeypatch):
             assert np.array_equal(apen_module._rolling_apen(data, window, m, r), want), entry
 
-    @pytest.mark.parametrize("window", [100, 1_000])
+    @pytest.mark.parametrize("window", [34, 100, 1_000])
     def test_peak_memory_stays_bounded(self, window):
         # Ten years of daily returns: the kernel's buffers are bounded per
         # slab, so the traced peak stays near 1 MB even at long windows.
