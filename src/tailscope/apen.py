@@ -37,7 +37,7 @@ from .errors import (
 # (m = 1 to 3, 2-vCPU VM, numpy 2.4), 64 rows took 0.80-1.34x the time of
 # 128, 96 rows 0.89-1.15x, 192 rows 0.82-1.19x and 256 rows 0.78-1.28x: none
 # was as fast on every series. Sorted blocks run on more than 5,760 values,
-# runs too narrow for bit rows, numpy < 2 or m >= 64 (_bit_rows).
+# numpy < 2 or m >= 64 (_bit_rows).
 _BLOCK_ROWS = 128
 _CHUNK_CELLS = 4_194_304
 # Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and fills
@@ -54,14 +54,14 @@ _CHUNK_CELLS = 4_194_304
 _ROLLING_WINDOWS = 48
 _ROLLING_CELLS = 262_144
 _DENSE_RATIO = 8
-# Bit rows (_bit_counts) take _BIT_ROWS templates at a time (128 and 512 ran
-# within 5% of 256 on the bench series), and only where their N**2 / 8-byte
-# prefix bitset fits _BIT_BYTES (N <= 5,760) and a row, at _WORD_CELLS block
-# cells per 64-bit word, costs less than a sorted block's (_bit_rows). The
-# kernels broke even at 2.3 to 3.2 cells per word at N = 5,790 (2-vCPU VM).
+# Bit rows (_bit_counts) take _BIT_ROWS templates at a time, and run wherever
+# their N**2 / 8-byte prefix bitset fits _BIT_BYTES (N <= 5,760, _bit_rows).
+# On six bench-shaped series of 3,651 values (m = 1 to 3, 2-vCPU VM, numpy
+# 2.4, 41 interleaved calls), 128 rows took 1.10-1.18x the time of 256 and
+# 512 rows 0.92-0.97x; 512 would double the row buffers, from about 0.6 MB
+# at N = 5,760.
 _BIT_ROWS = 256
 _BIT_BYTES = 4_194_304
-_WORD_CELLS = 3
 
 
 class RMode(_Choice):
@@ -126,16 +126,16 @@ def _phi_pair(arr: np.ndarray, m: int, r: float) -> tuple[float, float]:
     Cells are compared in rank space (``_runs``): a template's coordinate
     matches a column's when the column's rank lies in the template's run, a
     test on narrow integers that gives the same answer as the float one.
-    Two kernels count the matches, and ``_bit_rows`` picks the cheaper from
-    the series' length and runs: bit rows (``_bit_counts``) cost words in
-    N, sorted blocks (``_block_counts``) cells in the band. Both give the
+    Two kernels count the matches, and ``_bit_rows`` picks one from the
+    series' length and m: bit rows (``_bit_counts``) where their bitset
+    fits, sorted blocks (``_block_counts``) elsewhere. Both give the
     exact counts in template order, so the logarithms are summed in the
     same order as a dense count and the result is the same to the bit,
     whichever kernel ran.
     """
     t = arr.size - m + 1
     sort, by_index = _runs(arr, r)
-    if _bit_rows(by_index, m):
+    if _bit_rows(arr.size, m):
         counts = _bit_counts(by_index, t, m)
     else:
         counts = _block_counts(sort, by_index, t, m)
@@ -178,20 +178,13 @@ def _runs(arr: np.ndarray, r: float):
     return sort, by_index
 
 
-def _bit_rows(by_index, m: int) -> bool:
-    """Whether ``_phi_pair`` counts with bit rows rather than sorted blocks.
-
-    Bit rows need numpy's popcount (2.0 and later), m < 64, so that no
-    shift passes a word's 64 places, and a prefix bitset within _BIT_BYTES.
-    They cost about _WORD_CELLS cells per word of a row, ceil(N / 64) words,
-    where a sorted block costs each row about half its run and the block's
-    own rows (_block_counts).
+def _bit_rows(n: int, m: int) -> bool:
+    """Whether ``_phi_pair`` counts the n values with bit rows rather than
+    sorted blocks: bit rows need numpy's popcount (2.0 and later), m < 64,
+    so that no shift passes a word's 64 places, and a prefix bitset of
+    n + 1 rows of ceil(n / 64) words within _BIT_BYTES.
     """
-    n = by_index.shape[1] - 1
-    words = -(-n // 64)
-    if not hasattr(np, "bitwise_count") or m >= 64 or (n + 1) * words * 8 > _BIT_BYTES:
-        return False
-    return _WORD_CELLS * words < by_index[2, :n].mean() / 2 + _BLOCK_ROWS
+    return hasattr(np, "bitwise_count") and m < 64 and (n + 1) * -(-n // 64) * 8 <= _BIT_BYTES
 
 
 def _bit_counts(by_index, t: int, m: int) -> np.ndarray:
@@ -400,7 +393,7 @@ def apen(values, params: ApenParams | None = None) -> float:
         templates whose first coordinate lies within r, less those that
         match all 128 templates of a sorted block at once, which cost O(m)
         per block instead (as on a price plateau), and bounded memory.
-        Where that band is wide against N / 64 and N is at most 5,760, the
+        Where N is at most 5,760 (numpy 2.0 and later, m < 64), the
         matches are counted as bit rows instead: O(N**2 / 64 * m) word
         operations, with memory bounded by a 4 MB bitset. The result is
         bit-identical to a dense N x N count, whichever way it is counted,

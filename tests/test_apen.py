@@ -176,15 +176,11 @@ POPCOUNT = hasattr(np, "bitwise_count")
 
 
 def _force_kernel(patch, kernel):
-    """Send whole-series ApEn to one kernel through its selection constants:
-    no byte budget leaves sorted blocks, and an unbounded budget with free
-    words leaves bit rows (wherever numpy has popcount and m < 64)."""
+    """Send whole-series ApEn to one kernel through its byte budget: none
+    leaves sorted blocks, and an unbounded one leaves bit rows (wherever
+    numpy has popcount and m < 64)."""
     apen_module = importlib.import_module("tailscope.apen")
-    if kernel == "blocks":
-        patch.setattr(apen_module, "_BIT_BYTES", 0)
-    else:
-        patch.setattr(apen_module, "_BIT_BYTES", math.inf)
-        patch.setattr(apen_module, "_WORD_CELLS", 0)
+    patch.setattr(apen_module, "_BIT_BYTES", 0 if kernel == "blocks" else math.inf)
 
 
 def _kernel_inputs():
@@ -456,9 +452,33 @@ def _bench_shaped(seed=1):
     return out
 
 
-def _chooses_bits(data, m, r):
+def _chooses_bits(n, m):
+    return importlib.import_module("tailscope.apen")._bit_rows(n, m)
+
+
+def _largest_bit_row_n():
+    """The largest N whose prefix bitset, N + 1 rows of ceil(N / 64) words,
+    fits the byte budget."""
+    n = 64
+    while (n + 2) * -(-(n + 1) // 64) * 8 <= importlib.import_module("tailscope.apen")._BIT_BYTES:
+        n += 1
+    return n
+
+
+def _kernel_ran(patch, data, params):
+    """Which kernel counted ``apen(data, params)``: "bits" or "blocks"."""
     apen_module = importlib.import_module("tailscope.apen")
-    return apen_module._bit_rows(apen_module._runs(np.asarray(data, float), r)[1], m)
+    ran = []
+    with patch.context() as spy:
+        for name, kernel in (("_bit_counts", "bits"), ("_block_counts", "blocks")):
+            def spying(*args, count=getattr(apen_module, name), kernel=kernel):
+                ran.append(kernel)
+                return count(*args)
+
+            spy.setattr(apen_module, name, spying)
+        apen(data, params)
+    (kernel,) = ran
+    return kernel
 
 
 def _word_edge_inputs():
@@ -483,7 +503,7 @@ class TestBitRows:
         for name, data in _kernel_inputs().items():
             params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
             r = params.resolve_r(data)
-            assert _chooses_bits(data, m, r) == (kernel == "bits" and POPCOUNT), name
+            assert _chooses_bits(data.size, m) == (kernel == "bits" and POPCOUNT), name
             assert apen(data, params) == apen_dense(data, m, r), name
 
     @pytest.mark.parametrize("kernel", ["bits", "blocks"])
@@ -527,34 +547,41 @@ class TestBitRows:
         assert apen(data, ApenParams()) == apen_dense(data, 2, ApenParams().resolve_r(data))
 
     def test_selection(self, monkeypatch):
-        # The cost rule and the byte budget, at their shipped values.
+        # The byte budget at its shipped value, m and numpy's popcount pick
+        # the kernel; the runs do not.
+        bits = "bits" if POPCOUNT else "blocks"
         for data in _bench_shaped():
-            assert _chooses_bits(data, 2, 0.2 * float(data.std(ddof=1))) == POPCOUNT
-        gauss = np.random.default_rng(10_000).normal(size=10_000)
-        assert not _chooses_bits(gauss, 2, 0.2 * float(gauss.std(ddof=1)))
-        lattice = np.random.default_rng(3_650).integers(0, 256, 3_650).astype(np.float64)
-        assert not _chooses_bits(lattice, 2, 0.5)
+            assert _chooses_bits(data.size, 2) == POPCOUNT
+        rng = np.random.default_rng(3_650)
+        for n, want in ((3_650, bits), (10_000, "blocks")):
+            gauss = rng.normal(size=n)
+            narrow = ((rng.integers(0, 256, n).astype(np.float64), _absolute(2, 0.5)),
+                      (gauss, _absolute(2, 0.001)))
+            wide = ((gauss, ApenParams()), (np.cumsum(rng.standard_t(4, n)), ApenParams()))
+            for data, params in (*narrow, *wide):
+                assert _kernel_ran(monkeypatch, data, params) == want, (n, params)
+        n = _largest_bit_row_n()
+        walk = np.cumsum(rng.standard_t(4, n + 1))
+        assert _kernel_ran(monkeypatch, walk[:n], ApenParams()) == bits
+        assert _kernel_ran(monkeypatch, walk, ApenParams()) == "blocks"
         short = np.random.default_rng(64).normal(size=300)
-        assert _chooses_bits(short, 63, 0.2) == POPCOUNT
-        assert not _chooses_bits(short, 64, 0.2)
+        assert _chooses_bits(short.size, 63) == POPCOUNT
+        assert not _chooses_bits(short.size, 64)
         want = apen(short, ApenParams(m=3))
         monkeypatch.delattr(np, "bitwise_count", raising=False)
-        assert not _chooses_bits(short, 3, 0.2)
+        assert not _chooses_bits(short.size, 3)
         assert apen(short, ApenParams(m=3)) == want
 
     def test_peak_memory_at_the_largest_bit_row_series(self):
-        # The largest N whose prefix bitset, N + 1 rows of ceil(N / 64)
-        # words, fits the byte budget. The traced peak holds that bitset,
-        # the block buffers (two of _BIT_ROWS + m + 1 rows, one of _BIT_ROWS
-        # rows and its popcount bytes) and the series' own index and count
-        # arrays, under 64 bytes per value; a second bitset or a temporary
-        # as large as the bitset would not fit.
+        # The traced peak holds the largest bitset that fits the byte
+        # budget, the block buffers (two of _BIT_ROWS + m + 1 rows, one of
+        # _BIT_ROWS rows and its popcount bytes) and the series' own index
+        # and count arrays, under 64 bytes per value; a second bitset or a
+        # temporary as large as the bitset would not fit.
         apen_module = importlib.import_module("tailscope.apen")
-        n = 64
-        while (n + 2) * -(-(n + 1) // 64) * 8 <= apen_module._BIT_BYTES:
-            n += 1
+        n = _largest_bit_row_n()
         data = np.cumsum(np.random.default_rng(n).standard_t(4, n))
-        assert _chooses_bits(data, 2, ApenParams().resolve_r(data)) == POPCOUNT
+        assert _chooses_bits(n, 2) == POPCOUNT
         words = -(-n // 64)
         rows = apen_module._BIT_ROWS
         buffers = 2 * (rows + 3) * words * 8 + rows * words * 9
@@ -684,20 +711,26 @@ class TestBatchedRollingApen:
         # _count tests "window b holds column j" as j - b < tt in the
         # narrowest unsigned type that holds the chunk's width w; np.tri
         # spells out the same band. Widths 254 to 257 cross the uint8 edge.
+        # Slabs of at most 3 rows keep the (b, h, w) reference small, and
+        # h < w puts the chunk's last slab, top = w - h, past row 0, so its
+        # counts must land in level[:, top:top+h] and nowhere else.
         count = importlib.import_module("tailscope.apen")._count
         rng = np.random.default_rng(2700)
         for b in range(1, 49):
             for t in (*range(2, 12), *range(255 - b, 259 - b)):
                 w = b + t - 1
-                h = min(3, w - 1)  # a slab short of the chunk: never whole blocks
+                h = min(3, w - 1)
                 dist = rng.uniform(0.0, 1.0, (h, w))
                 r = rng.uniform(0.2, 0.8, b)
                 for tt in range(1, t + 1) if t < 12 else (t - 1, t):
-                    level = np.zeros((b, w), np.min_scalar_type(t))
-                    count(dist, 0, tt, r, np.empty(2 * h * w, bool), level)
                     holds = np.tri(b, w, tt - 1, bool) & ~np.tri(b, w, -1, bool)
                     want = ((dist <= r[:, None, None]) & holds[:, None, :]).sum(axis=2)
-                    assert np.array_equal(level[:, :h], want), (b, t, tt)
+                    for top in (0, w - h):
+                        level = np.zeros((b, w), np.min_scalar_type(t))
+                        count(dist, top, tt, r, np.empty(2 * h * w, bool), level)
+                        assert np.array_equal(level[:, top : top + h], want), (b, t, tt, top)
+                        level[:, top : top + h] = 0
+                        assert not level.any(), (b, t, tt, top)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_volatility_break_bit_identical_to_window_loop(self, monkeypatch, m):
