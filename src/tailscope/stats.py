@@ -23,12 +23,14 @@ from .errors import (
 
 # Below this |mean| on the unit scale (errors._unit_scale) CV is undefined.
 _CV_MEAN_FLOOR = 1e-12
-# Rolling SD reduces blocks of windows of at most this many cells, so its
-# temporaries stay near 512 KB whatever the series length.
+# Rolling SD, and rolling CV's look-up of its floor, reduce blocks of windows
+# of at most this many cells, so their temporaries stay near 512 KB whatever
+# the series length.
 _ROLLING_BLOCK_CELLS = 65_536
-# A window all of whose values lie below 2**-_SD_SHIFT on the series' unit
-# scale takes its SD on a lower scale: a value below 2**-s has an ulp down to
-# 2**-(s + 53), whose square is normal (2**-1022 and up) only while s <= 458.
+# Rolling windows all of whose values lie below 2**-_SD_SHIFT on the series'
+# unit scale are taken on a lower scale (_by_scale): a value below 2**-s has
+# an ulp down to 2**-(s + 53), whose square is normal (2**-1022 and up) only
+# while s <= 458.
 _SD_SHIFT = 400
 
 
@@ -105,17 +107,24 @@ def rolling(
     """Apply ``statistic`` to every contiguous window of exactly ``window``
     observations, producing n - window + 1 points dated at window ends.
 
-    Every statistic is taken on the series' one unit scale 2**e
-    (``errors._unit_scale``). Windows that leave a coefficient of variation
-    undefined (mean within 1e-12 * 2**e of zero) yield NaN so point count
-    stays n - window + 1. SD and CV reduce blocks of windows over a
-    sliding-window view. ApEn computes the distances of a chunk of windows
-    once, counts the ones within the chunk's smallest tolerance for all its
-    windows at once, and compares only those between its smallest and largest
-    tolerance window by window (see ``apen._rolling_apen``). Every value is
-    bit-identical to the statistic of its window alone on that scale, or, for
-    an SD window all below 2**(e - 400), on the scale of its run of such
-    values (``_rolling_sd_by_runs``), which gives its ``summarize`` SD.
+    Every value equals, to the bit, the statistic of its window alone:
+    ``summarize``'s ``std_dev`` or ``coeff_variation`` (NaN where that is
+    None, so the point count stays n - window + 1), or ``apen`` under
+    ``apen_params``, wherever the window's nonzero values stay normal on the
+    scale it is taken on. One rule picks that scale (``_by_scale``): the
+    series' unit scale 2**e (``errors._unit_scale``), except that the
+    windows wholly in a run of values below 2**(e - 400), a window long or
+    more and not all zero, are taken on the run's own unit scale, and so on
+    down. So no such window reads as constant or goes subnormal, and ApEn's
+    zero-tolerance check sees each window on the scale where its matches
+    are counted. SD and CV reduce blocks of windows over a sliding-window
+    view; CV's undefined-mean floor, 1e-12 on the window's own unit scale as
+    in ``summarize``, is looked up only for the windows whose mean lies
+    below 1e-12 on the scale they are taken on. ApEn computes the distances
+    of a chunk of windows once, counts the ones within the chunk's smallest
+    tolerance for all its windows at once, and compares only those between
+    its smallest and largest tolerance window by window (see
+    ``apen._rolling_apen``).
     """
     arr = _as_float64(values)
     stat = RollingStatistic(statistic)
@@ -128,7 +137,7 @@ def rolling(
         raise WindowTooSmallError(message)
     if window > n and arr.ndim == 1:  # other shapes fail the dimension rule below
         raise WindowTooLargeError(f"window {window} exceeds series length {n}")
-    unit, e = _unit_scale(_as_finite_array(arr))
+    arr = _as_finite_array(arr)
     if dates is not None:
         labels = tuple(dates)
         if len(labels) != n:
@@ -136,16 +145,16 @@ def rolling(
         labels = labels[window - 1 :]
     else:
         labels = tuple(range(window - 1, n))
-    if stat is RollingStatistic.APEN:
-        r = params.tolerances(n - window + 1, e, lambda: _rolling_sd(unit, window))
-        out = _rolling_apen(unit, window, params.m, r)
-    elif stat is RollingStatistic.STD_DEV:
-        out = _rolling_sd_by_runs(arr, unit, e, window)
-    else:
-        mean = sliding_window_view(unit, window).mean(axis=1)
-        out = np.divide(_rolling_sd(unit, window), mean, out=np.full_like(mean, np.nan),
-                        where=np.abs(mean) >= _CV_MEAN_FLOOR)
-    return RollingSeries(stat, window, labels, out)
+
+    def body(unit, e):
+        if stat is RollingStatistic.STD_DEV:
+            return _from_unit_scale(_rolling_sd(unit, window), e, "the standard deviation")
+        if stat is RollingStatistic.COEFF_VARIATION:
+            return _rolling_cv(unit, window)
+        r = params.tolerances(unit.size - window + 1, e, lambda: _rolling_sd(unit, window))
+        return _rolling_apen(unit, window, params.m, r)
+
+    return RollingSeries(stat, window, labels, _by_scale(arr, window, body))
 
 
 def _min_window(stat: RollingStatistic, params: ApenParams) -> int:
@@ -153,18 +162,48 @@ def _min_window(stat: RollingStatistic, params: ApenParams) -> int:
     return params.min_length if stat is RollingStatistic.APEN else 2
 
 
-def _rolling_sd_by_runs(arr: np.ndarray, unit: np.ndarray, e: int, window: int) -> np.ndarray:
-    """Sample SD of every window of ``arr`` (``unit`` on its scale 2**e), in data
-    units. Each run of values below 2**(e - _SD_SHIFT), a window long or more,
-    is taken again on its own scale, where none go subnormal, and so on down."""
-    out = _from_unit_scale(_rolling_sd(unit, window), e, "the standard deviation")
+def _by_scale(arr: np.ndarray, window: int, body) -> np.ndarray:
+    """The values of every window of ``arr``, from ``body(unit, e)``, which
+    returns those of every window of ``unit`` on the unit scale 2**e.
+
+    The windows lying wholly in a run of values below 2**(e - _SD_SHIFT)
+    that is a window long or more and not all zero are taken on the run's
+    own unit scale, and so on down; the rest are taken on the series' unit
+    scale 2**e, one call for each stretch of consecutive windows. A series
+    with no such run is one call.
+    """
+    unit, e = _unit_scale(arr)
     small = np.abs(arr) < np.ldexp(1.0, e - _SD_SHIFT)
-    if np.any(small & (arr != 0)):  # else every such window is zeros: SD 0 either way
-        bounds = np.flatnonzero(np.diff(small, prepend=False, append=False)).reshape(-1, 2)
-        for start, stop in bounds[bounds[:, 1] - bounds[:, 0] >= window]:
-            run = arr[start:stop]
-            out[start : stop - window + 1] = _rolling_sd_by_runs(run, *_unit_scale(run), window)
-    return out
+    if not np.any(small & (arr != 0)):  # every such run is zeros, exact on this scale
+        return body(unit, e)
+    bounds = np.flatnonzero(np.diff(small, prepend=False, append=False)).reshape(-1, 2)
+    runs = [(a, b) for a, b in bounds.tolist() if b - a >= window and arr[a:b].any()]
+    # Windows [lo, hi) hold the values [lo, hi + window - 1): stretches of the
+    # rest at even k, alternating with runs, whose windows are [a, b - window + 1).
+    edges = [0, *(i for a, b in runs for i in (a, b - window + 1)), arr.size - window + 1]
+    return np.concatenate([
+        _by_scale(arr[lo : hi + window - 1], window, body) if k % 2
+        else body(unit[lo : hi + window - 1], e)
+        for k, (lo, hi) in enumerate(zip(edges, edges[1:])) if hi > lo
+    ])
+
+
+def _rolling_cv(unit: np.ndarray, window: int) -> np.ndarray:
+    """Coefficient of variation of every window of ``unit``, NaN where the
+    window's |mean| is below _CV_MEAN_FLOOR on the window's own unit scale.
+
+    That floor is _CV_MEAN_FLOOR * 2**d, with 2**d the window's scale on this
+    one (d <= 0), so only a window below _CV_MEAN_FLOOR here needs its d.
+    """
+    windows = sliding_window_view(unit, window)
+    mean = windows.mean(axis=1)
+    defined = np.abs(mean) >= _CV_MEAN_FLOOR
+    low = np.flatnonzero(~defined)
+    for part in np.array_split(low, 1 + low.size * window // _ROLLING_BLOCK_CELLS):
+        d = np.frexp(np.abs(windows[part]).max(axis=1))[1]
+        defined[part] = np.abs(mean[part]) >= np.ldexp(_CV_MEAN_FLOOR, d)
+    return np.divide(_rolling_sd(unit, window), mean, out=np.full_like(mean, np.nan),
+                     where=defined)
 
 
 def _rolling_sd(arr: np.ndarray, window: int) -> np.ndarray:

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 import tailscope.cli as cli
+from tailscope.apen import apen
 from tailscope.cli import EXIT_CONFIG, EXIT_OK, EXIT_PARTIAL, main
 from tailscope.evt import max_to_sum
 from tailscope.series import fill_weekend, ingest_csv
@@ -593,6 +594,38 @@ class TestStrictOutput:
         if fmt == "json":
             json.loads(text, parse_constant=reject_constant)
 
+
+
+class TestMixedScales:
+    """Rolling windows far below the series' largest values are each taken on
+    a scale of their own, as the window alone would be."""
+
+    @pytest.fixture
+    def mixed(self, tmp_path):
+        rng = np.random.default_rng(0)
+        values = np.concatenate((1e200 * rng.normal(size=30), 1e-150 * rng.normal(size=30)))
+        return values, write_values(tmp_path / "mixed.csv", values)
+
+    def test_rolling_apen_writes_the_last_windows_apen(self, tmp_path, capsys, mixed):
+        values, path = mixed
+        out = tmp_path / "out"
+        argv = ["rolling", f"mixed={path}", "--statistic", "apen", "--window", "10",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        assert capsys.readouterr().err == ""
+        rows = read_rows(out / "mixed_na_values_rolling.csv")
+        assert len(rows) == 51
+        assert float(rows[-1]["value"]) == apen(values[-10:])
+
+    def test_rolling_cv_leaves_no_empty_cell(self, tmp_path, mixed):
+        _, path = mixed
+        out = tmp_path / "out"
+        argv = ["rolling", f"mixed={path}", "--statistic", "coeff_variation", "--window", "10",
+                "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        rows = read_rows(out / "mixed_na_values_rolling.csv")
+        assert len(rows) == 51
+        assert all(row["value"] for row in rows)
 
 
 class TestRankOneSlope:

@@ -325,3 +325,22 @@ def test_rolling_sd_is_each_windows_summarize_to_the_bit(values):
         got = rolling(v.copy(), 20, "std_dev").values
         want = np.array([summarize(v[i : i + 20]).std_dev for i in range(v.size - 19)])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+
+# The statistic of one window alone, as rolling writes it: None is NaN.
+WINDOW_STATISTIC = {
+    "coeff_variation": lambda w: np.nan if (cv := summarize(w).coeff_variation) is None else cv,
+    "apen": apen,
+}
+
+
+@pytest.mark.parametrize("values", EXTREME_INPUTS)
+@pytest.mark.parametrize("statistic", WINDOW_STATISTIC)
+def test_rolling_cv_and_apen_are_each_windows_own_to_the_bit(statistic, values):
+    v = EXTREME_INPUTS[values]
+    one = WINDOW_STATISTIC[statistic]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = rolling(v.copy(), 20, statistic).values
+        want = np.array([one(v[i : i + 20]) for i in range(v.size - 19)])
+    assert np.array_equal(got.view(np.int64), want.view(np.int64))
