@@ -19,6 +19,7 @@ regular series.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,20 +41,14 @@ from .errors import (
 # numpy < 2 or m >= 64 (_bit_rows).
 _BLOCK_ROWS = 128
 _CHUNK_CELLS = 4_194_304
-# Rolling ApEn takes _ROLLING_WINDOWS consecutive windows at a time and fills
-# their distances a slab of rows at a time. A slab holds at most an eighth of
-# _ROLLING_CELLS float64 cells, its differences (up to m more rows and
-# columns) at most twice that, whatever m is, and no mask, index or
-# membership array passes _ROLLING_CELLS bytes (256 KB); only the
-# per-window count tables grow with the window, linearly. Short windows
-# leave most of a chunk's cells in no window, and their tolerances swing
-# widely: where a chunk's distances are one slab and its windows' blocks
-# hold at most _DENSE_RATIO times their cells (t <= 32 at 48 windows), each
-# block is compared whole with its own tolerance (_count_dense), not split
-# at the chunk's tolerance range (_count).
-_ROLLING_WINDOWS = 48
-_ROLLING_CELLS = 262_144
-_DENSE_RATIO = 8
+# Rolling ApEn counts a block of _ROLLING_CELLS // t consecutive windows at a
+# time (_rolling_apen), so each of its three count tables holds at most
+# _ROLLING_CELLS cells whatever the window t, and fills the block's band of
+# distances a chunk of offsets at a time, each chunk at most _ROLLING_CELLS
+# // 8 float64 cells (128 KB); pairs between their windows' tolerances are
+# resolved _ROLLING_CELLS // 16 at a time. The traced peak of a call on 3,650
+# values is about 1.2 MB at w = 100 and 1.9 MB at w = 1,000 (numpy 2.4).
+_ROLLING_CELLS = 131_072
 # Bit rows (_bit_counts) take _BIT_ROWS templates at a time, and run wherever
 # their N**2 / 8-byte prefix bitset fits _BIT_BYTES (N <= 5,760, _bit_rows).
 # On six bench-shaped series of 3,651 values (m = 1 to 3, 2-vCPU VM, numpy
@@ -407,78 +402,87 @@ def apen(values, params: ApenParams | None = None) -> float:
 
 
 def _rolling_apen(arr: np.ndarray, window: int, m: int, r: np.ndarray) -> np.ndarray:
-    """ApEn of every window of ``window`` observations, window i at tolerance r[i].
+    """ApEn of every window of ``window`` observations, window w at tolerance r[w].
 
-    Templates are numbered along the whole series, so window b holds
-    templates b .. b + t - 1 (t = window - m + 1) and its Chebyshev distances
-    are the diagonal block D[b:b+t, b:b+t] of one matrix D over all
-    templates. A chunk of consecutive windows fills the part of D its blocks
-    cover a slab of rows at a time, so each of its distances is computed
-    once, and ``_count`` (or ``_count_dense``) adds each slab to the counts
-    of every window. Coordinate k's differences are coordinate 0's k rows and k
-    columns on, so a slab folds each coordinate in as a shifted view of one
-    matrix of differences |x_i - x_j| over m more rows and columns, or, when
-    m is large against the slab, of one such matrix per run of coordinates.
-    As in _phi_pair, the m counts are taken before the (m+1)-th coordinate
-    is folded in, and a trailing NaN stands in for the (m+1)-th coordinate of
-    the series' last template, which no m + 1 count uses. Every count is
-    the integer that apen counts for that window alone, and each window's
-    logarithms are summed in the same order, so every value is the one apen
-    gives the window, to the bit.
+    Templates are numbered along the whole series, so window w holds
+    templates w .. w + t - 1 (t = window - m + 1), and each pair of
+    templates d apart (0 < d < t) lies in the windows that hold both. A
+    block of consecutive windows computes the distance of each template g
+    to the next t - 1 templates once, as dist[d, g], a chunk of offsets d
+    at a time: coordinate c's differences are one matrix of |x_g - x_{g+d}|
+    read c columns on, so each coordinate is folded in as a shifted view.
+    ``_count_band`` counts each chunk's pairs in every window of the block.
+    As in _phi_pair, the m counts are taken before the (m+1)-th coordinate is
+    folded in, and a NaN tail stands in for coordinates past the series,
+    which no count that is used reads. Every count is the integer that apen
+    counts for that window alone, and each window's logarithms are summed in
+    the same order, so every value is the one apen gives the window, to the
+    bit.
     """
     t = window - m + 1
     total = arr.size - window + 1
-    ext = np.append(arr, np.nan)
-    chunk = min(_ROLLING_WINDOWS, total)
-    width = chunk + t - 1
-    rows = max(1, min(width, _ROLLING_CELLS // 8 // width))
-    # One difference matrix serves coordinates k .. k + span, as many as keep
-    # it within twice the slab's cells, so it does not grow with m squared.
-    span = next(q for q in range(m, -1, -1) if (rows + q) * (width + q) <= 2 * rows * width)
-    dist_buf, diff_buf = np.empty(rows * width), np.empty((rows + span) * (width + span))
-    # One exact counter for every chunk, slab and level (see the constants);
-    # mask_buf holds a chunk's blocks, or two slab masks.
-    dense = rows == width and chunk * t * t <= _DENSE_RATIO * width * width
-    mask_buf = np.empty(chunk * t * t if dense else 2 * rows * width, bool)
-    count = _count_dense if dense else _count
+    blocks = min(total, max(1, _ROLLING_CELLS // t))
+    width = blocks + t - 1  # templates in a block
+    rows = min(t - 1, max(1, _ROLLING_CELLS // 8 // (width + m)))
+    ext = np.append(arr, np.full(t + rows + m, np.nan))
     dtype = np.min_scalar_type(t)  # as in _phi_pair
-    level_buf = np.empty(2 * chunk * width, dtype)
+    diff_buf, dist_buf = np.empty(rows * (width + m)), np.empty(rows * width)
+    bufs = (np.empty((2, rows * width), bool), np.empty((2, (rows + 1) * (width + 2)), dtype),
+            np.empty((4, width + t)))
+    carry = np.empty((2, 2, width), dtype)
+    # counts[k, s, w]: window w's count for its template at position s, at m
+    # (k = 0) or m + 1; events the runs that _count_pending adds to a level.
+    counts = np.empty((2, t, blocks), dtype)
+    events = np.zeros((t, blocks), dtype) if r.min() != r.max() else None
     out = np.empty(total)
-    for first in range(0, total, chunk):
-        b = min(chunk, total - first)
-        w = b + t - 1
-        # level[k, b, g]: window b's count for the chunk's template g, at m
-        # (k = 0) or m + 1; cells with g outside [b, b + t) are scratch.
-        level = level_buf[: 2 * b * w].reshape(2, b, w)
+    item = ext.strides[0]
+    for first in range(0, total, blocks):
+        b = min(blocks, total - first)
+        cols = b + t - 1
         r_b = r[first : first + b]
-        for top in range(0, w, rows):
-            h = min(rows, w - top)
-            dist = dist_buf[: h * w].reshape(h, w)  # contiguous, for _count_dense's views
-            for k in range(m + 1):
-                s = k % (span + 1)
-                if s == 0:
-                    # diff[i, j] = |x[first + top + k + i] - x[first + k + j]|, so
-                    # coordinate k + s's distances are diff[s : s + h, s : s + w].
-                    q = min(span, m - k)
-                    diff = diff_buf[: (h + q) * (w + q)].reshape(h + q, w + q)
-                    x = ext[first + top + k : first + top + k + h + q]
-                    np.subtract.outer(x, ext[first + k : first + k + w + q], out=diff)
-                    np.abs(diff, out=diff)
-                if k == 0:
-                    np.copyto(dist, diff[:h, :w])
-                    continue
-                if k == m:
-                    count(dist, top, t, r_b, mask_buf, level[0])
-                np.maximum(dist, diff[s : s + h, s : s + w], out=dist)
-            # Row t - 1 is no (m+1)-template of its window: counted, not used.
-            count(dist, top, t - 1, r_b, mask_buf, level[1])
-        s0, s1, s2 = level.strides
-        counts = np.ndarray((2, b, t), dtype, level, 0, (s0, s1 + s2, s2))
+        spread = r_b.min() != r_b.max()
+        groups = _groups(r_b, t) if spread else None
+        length = 2 * t
+        pending = ([], [])
+        counts[:, :, :b] = 1
+        carry[:, :, :cols] = 0
+        for d0 in range(1, t, rows):
+            h = min(rows, t - d0)
+            if spread and t - d0 <= length // 2:
+                # The smallest and largest r of the windows that hold a pair
+                # of each template at offset d0 or more, at either level,
+                # taken again each time that span halves.
+                length = t - d0
+                extremes = _held_extremes(r_b, length, cols, bufs[2])
+            # Templates g >= cols - d0 pair at offset d0 or more only with
+            # templates past the block's windows.
+            g = cols - d0
+            # diff[k, i] = |x[first + i] - x[first + i + d0 + k]|, so coordinate
+            # c's distances are diff[:, c : c + g].
+            diff = diff_buf[: h * (g + m)].reshape(h, g + m)
+            ahead = np.ndarray(diff.shape, ext.dtype, ext, (first + d0) * item, (item, item))
+            np.subtract(ahead, ext[first : first + g + m], out=diff)
+            np.abs(diff, out=diff)
+            dist, folded = diff[:, :g], dist_buf[: h * g].reshape(h, g)
+            for level in range(2):
+                for c in range(1, m) if level == 0 else (m,):
+                    dist = np.maximum(dist, diff[:, c : c + g], out=folded)
+                # Offset t - 1 pairs no (m+1)-templates of a window.
+                if d0 < t - level:
+                    band = dist[: min(h, t - level - d0)]
+                    _count_band(band, d0, t - level, r_b, extremes if spread else None, bufs,
+                                carry[level], counts[level], pending[level])
+                    if sum(x.size for _, _, x in pending[level]) > _ROLLING_CELLS // 8:
+                        _count_pending(pending[level], t - level, r_b, groups, counts[level],
+                                       events)
+        if spread:
+            for level in range(2):
+                _count_pending(pending[level], t - level, r_b, groups, counts[level], events)
         step = max(1, dist_buf.size // t)
-        for lb in range(0, b, step):
-            part = slice(lb, min(b, lb + step))
-            phi_m = _phi(counts[0, part], dist_buf)
-            phi_m1 = _phi(counts[1, part, : t - 1], dist_buf)
+        for lw in range(0, b, step):
+            part = slice(lw, min(b, lw + step))
+            phi_m = _phi(counts[0, :, part].T, dist_buf)
+            phi_m1 = _phi(counts[1, : t - 1, part].T, dist_buf)
             np.subtract(phi_m, phi_m1, out=out[first + part.start : first + part.stop])
     return out
 
@@ -492,68 +496,178 @@ def _phi(counts: np.ndarray, buf: np.ndarray) -> np.ndarray:
     return q.mean(axis=1)
 
 
-def _count(dist, top, tt, r, mask_buf, level) -> None:
-    """Count one slab's matches in each window, split at the tolerance range.
+def _count_band(dist, d0, tt, r, extremes, bufs, carry, counts, pending) -> None:
+    """Add one chunk's sure matches to the counts of the block's windows,
+    and append its ambiguous pairs to ``pending``.
 
-    ``dist`` holds rows top .. top + h - 1 of the chunk's distance matrix
-    against all its w columns. Window b holds columns [b, b + tt), and its
-    count for row g goes to level[b, g]. With lo and hi the smallest and
-    largest of the chunk's tolerances, a distance <= lo matches in every
-    window and one above hi, or NaN, in none. Window b's sure matches differ
-    from window b - 1's by the column that enters and the one that leaves,
-    so one row sum and a cumulative sum over the windows count them all; the
-    sums wrap around in the counts' unsigned dtype, but every count fits it,
-    so each comes out exact. Each ambiguous cell, lo < d <= hi, is then
-    compared with the tolerance of every window that holds its column j:
-    j - b < tt in an unsigned type that holds w, where j < b wraps to at
-    least w + 1 - b > tt (as in _runs). In absolute mode lo = hi, and no
-    cell is ambiguous.
+    ``dist[k, g]`` is the distance of the block's template g to template
+    g + d0 + k, and window w holds templates w .. w + tt - 1. A pair d apart
+    lies in windows g + d - tt + 1 .. g; with lo[g] and hi[g] the smallest
+    and largest r of a run of windows that holds all those of template g's
+    pairs in this chunk (``extremes``, None where the block's r is one
+    value), a distance <= lo is a sure match in every window that holds it,
+    and one above hi, or NaN, in none.
+
+    Sure matches are counted by prefix sums, continued from chunk to chunk
+    through ``carry``. Template g's forward count in window w is the prefix
+    of column g down to offset w + tt - 1 - g. Its backward count, its
+    matches with the templates before it from w on, is the prefix along the
+    line of pairs (g - d, d) down to offset g - w: a view whose rows step one
+    column back per offset lays each line in a column, so one add per offset
+    extends every line, and window w's backward counts land in row s = g - w,
+    column w. Both are read into ``counts[s, w]`` by views, the forward one
+    stepping back a row per position.
     """
-    h, w = dist.shape
-    b = level.shape[0]
-    lo, hi = r.min(), r.max()
-    out = level[:, top : top + h]
-    sure = mask_buf[: h * w].reshape(h, w)
-    np.less_equal(dist, lo, out=sure)
-    ones = sure.view(np.uint8)
-    np.add.reduce(ones[:, :tt], axis=1, dtype=out.dtype, out=out[0])
-    np.subtract(ones[:, tt : tt + b - 1].T, ones[:, : b - 1].T, out=out[1:], dtype=out.dtype)
-    np.cumsum(out, axis=0, dtype=out.dtype, out=out)
-    if hi == lo:
+    h, g = dist.shape
+    b = r.size
+    mask_buf, scan_buf, _ = bufs
+    shape = (h + 1, g + 2)  # spare columns, so no two lines of a view share a cell
+    sure, bwd = (a[: shape[0] * shape[1]].reshape(shape) for a in scan_buf)
+    if extremes is None:
+        np.less_equal(dist, r[0], out=sure[1:, :g])
+    else:
+        lo, hi = extremes
+        within, ambiguous = (a[: h * g].reshape(h, g) for a in mask_buf)
+        np.less_equal(dist, lo[:g], out=within)
+        sure[1:, :g] = within
+        np.less_equal(dist, hi[:g], out=ambiguous)
+        ambiguous ^= within
+        if ambiguous.any():
+            k, i = np.divmod(np.flatnonzero(ambiguous), g)
+            pending.append((i, k + d0, dist[k, i]))
+    s0, s1 = sure.strides
+    # Line j holds the pairs of template j + d0 - 1, at (k, j - k); the
+    # block's last template is on line g.
+    ahead = np.ndarray((h + 1, g + 1), sure.dtype, sure, 0, (s0 - s1, s1))
+    back = np.ndarray((h + 1, g + 1), bwd.dtype, bwd, 0, (s0 - s1, s1))
+    bwd[0, : g + 1] = carry[1, : g + 1]
+    for k in range(1, h + 1):
+        np.add(back[k - 1], ahead[k], out=back[k])
+    carry[1, :g] = bwd[h, :g]
+    fwd = sure  # the forward prefixes overwrite the matches they sum
+    fwd[0, :g] = carry[0, :g]
+    for k in range(1, h + 1):
+        np.add(fwd[k - 1], fwd[k], out=fwd[k])
+    carry[0, :g] = fwd[h, :g]
+    counts[d0 : d0 + h, :b] += bwd[1:, :b]
+    s = tt - d0 - h  # the position whose forward count ends at this chunk's last offset
+    f0, f1 = fwd.strides
+    counts[s : s + h, :b] += np.ndarray((h, b), fwd.dtype, fwd, h * f0 + s * f1, (f1 - f0, f1))
+
+
+def _held_extremes(r, length, g, buf):
+    """The smallest and largest r of windows i - length + 1 .. i that lie in
+    0 .. r.size - 1, for each of the g templates i, by doubling the windows
+    each pass (``buf`` rows: padding, lo, hi, scratch)."""
+    pad, lo, hi, scratch = buf
+    values = pad[: g + length - 1]
+    for extreme, fill, out in ((np.minimum, np.inf, lo), (np.maximum, -np.inf, hi)):
+        values.fill(fill)
+        values[length - 1 : length - 1 + r.size] = r
+        a = scratch[: values.size]
+        np.copyto(a, values)
+        n, span = values.size, 1
+        while 2 * span <= length:
+            extreme(a[: n - span], a[span:n], out=a[: n - span])
+            n -= span
+            span *= 2
+        extreme(a[:g], a[length - span : length - span + g], out=out[:g])
+    return lo[:g], hi[:g]
+
+
+def _groups(r, t):
+    """Groups of q consecutive windows for ``_count_ambiguous``: q, the
+    smallest and largest r of each group, and r padded with q values of -inf,
+    which no distance meets. A pair lies in at most min(t, r.size) of the
+    block's windows, and q is its square root, so that a pair spans about as
+    many groups as an ambiguous group holds windows."""
+    q = math.isqrt(min(t, r.size))
+    starts = np.arange(0, r.size, q)
+    return (q, np.minimum.reduceat(r, starts), np.maximum.reduceat(r, starts),
+            np.append(r, np.full(q, -np.inf)))
+
+
+def _count_pending(pending, tt, r, groups, counts, events) -> None:
+    """Count the ambiguous pairs gathered in ``pending`` and empty it, in
+    pieces of _ROLLING_CELLS // 16 pairs, then add the runs they marked in
+    ``events``."""
+    if not pending:
         return
-    ambiguous = mask_buf[h * w : 2 * h * w].reshape(h, w)
-    np.less_equal(dist, hi, out=ambiguous)
-    np.not_equal(ambiguous, sure, out=ambiguous)
-    cells = np.flatnonzero(ambiguous)
-    windows = np.arange(b, dtype=np.min_scalar_type(w))[:, None]
-    # Pieces of cells whose window masks fit mask_buf. The cells come in row
-    # order, so each row's cells in a piece are one segment of it.
-    step = max(1, mask_buf.size // b)
-    for start in range(0, cells.size, step):
-        g, j = np.divmod(cells[start : start + step], w)
-        held = np.less(j.astype(windows.dtype) - windows, tt)
-        within = mask_buf[: held.size].reshape(held.shape)
-        held &= np.less_equal(dist[g, j], r[:, None], out=within)
-        starts = np.flatnonzero(np.diff(g, prepend=-1))
-        out[:, g[starts]] += np.add.reduceat(held.view(np.uint8), starts, axis=1, dtype=out.dtype)
+    i, d, x = (np.concatenate(column) for column in zip(*pending))
+    pending.clear()
+    step = _ROLLING_CELLS // 16
+    for start in range(0, i.size, step):
+        part = slice(start, start + step)
+        _count_ambiguous(i[part], d[part], x[part], tt, r, groups, counts, events)
+    _count_runs(events, counts, tt, r.size)
 
 
-def _count_dense(dist, top, tt, r, mask_buf, level) -> None:
-    """Matches within r[b] of each of the tt rows of window b's block, for
-    every window b, with ``dist`` its chunk's whole distance matrix (top 0).
+def _count_ambiguous(i, d, x, tt, r, groups, counts, events) -> None:
+    """Count the ambiguous pairs (i, i + d) at distances x in the windows
+    that hold them, a group of windows at a time.
 
-    Window b's block starts at dist[b, b], and its counts go to the diagonal
-    level[b, b:b+tt]: strided views lay the blocks, and the counts, side by
-    side without copying them, so one comparison and one sum count them all.
-    The views are built by the ndarray constructor, which checks that they
-    stay inside their arrays; ``as_strided`` builds the same views several
-    times slower.
+    Each pair's windows are split at the groups of q windows, and the pair
+    is classified per group against the group's smallest and largest r,
+    one slot of groups at a time, over the pairs that still hold one (the
+    pairs are sorted by their number of groups, most first). A run of
+    groups where it surely matches adds to both templates' counts in each
+    window of the run: ``events`` gains +1 where the run starts and -1 one
+    window past its end, on each template's line s + w = constant, which
+    ``_count_runs`` sums. In groups where it is ambiguous, it is compared
+    with each window's own r, and each match is added to ``counts`` itself.
     """
-    b = level.shape[0]
-    s0, s1 = dist.strides
-    l0, l1 = level.strides
-    blocks = np.ndarray((b, tt, tt), dist.dtype, dist, 0, (s0 + s1, s0, s1))
-    within = mask_buf[: b * tt * tt].reshape(b, tt, tt)
-    np.less_equal(blocks, r[:, None, None], out=within)
-    diag = np.ndarray((b, tt), level.dtype, level, 0, (l0 + l1, l1))
-    np.add.reduce(within.view(np.uint8), axis=2, dtype=level.dtype, out=diag)
+    q, group_lo, group_hi, rows_r = groups
+    b = r.size
+    lo = np.maximum(i + d - tt + 1, 0)
+    hi = np.minimum(i, b - 1)
+    spans = np.where(lo <= hi, hi // q - lo // q + 1, 0)
+    order = np.argsort(-spans, kind="stable")
+    i, d, x, lo, hi, spans = i[order], d[order], x[order], lo[order], hi[order], spans[order]
+    j = i + d
+    first = lo // q
+    held = np.cumsum(np.bincount(spans)[::-1])[::-1]  # held[s]: pairs with more than s groups
+    one, line = counts.dtype.type(1), events.shape[1]
+    marks, flat = events.reshape(-1), counts.reshape(-1)
+    was = np.zeros(held[1] if held.size > 1 else 0, bool)  # sure in the slot before
+    for slot in range(1, held.size + 1):
+        n = held[slot] if slot < held.size else 0
+        grp = first[:n] + (slot - 1)
+        sure = x[:n] <= group_lo[grp]
+        # Runs that ended at the slot before: -1 one window past their end.
+        c = np.flatnonzero(was & ~np.append(sure, np.zeros(was.size - n, bool)))
+        v = np.minimum(hi[c] + 1, (first[c] + slot - 1) * q)
+        c, v = c[v < b], v[v < b]
+        past = v <= i[c]  # template i leaves at window i + 1
+        np.subtract.at(marks, (i[c[past]] - v[past]) * line + v[past], one)
+        np.subtract.at(marks, (j[c] - v) * line + v, one)
+        if not n:
+            break
+        c = np.flatnonzero(sure & ~was[:n])
+        u = np.maximum(lo[c], grp[c] * q)
+        np.add.at(marks, (i[c] - u) * line + u, one)
+        np.add.at(marks, (j[c] - u) * line + u, one)
+        tested = np.flatnonzero((x[:n] <= group_hi[grp]) ^ sure)
+        step = _ROLLING_CELLS // 16 // q  # tables of at most _ROLLING_CELLS // 16 windows
+        for start in range(0, tested.size, step):
+            c = tested[start : start + step]
+            w = (grp[c] * q)[:, None] + np.arange(q)
+            match = (w >= lo[c, None]) & (w <= hi[c, None]) & (x[c, None] <= rows_r[w])
+            row, k = np.divmod(np.flatnonzero(match), q)
+            c, w = c[row], w[row, k]
+            np.add.at(flat, (i[c] - w) * line + w, one)
+            np.add.at(flat, (j[c] - w) * line + w, one)
+        was = sure
+
+
+def _count_runs(events, counts, tt, b) -> None:
+    """Add the runs ``events`` marks to ``counts`` and clear them: a run of a
+    template continues from (s, w) to (s - 1, w + 1), so each line is summed
+    a step at a time along the shorter side."""
+    if tt <= b:
+        for s in range(tt - 1, 0, -1):
+            np.add(events[s - 1, 1:b], events[s, : b - 1], out=events[s - 1, 1:b])
+    else:
+        for w in range(1, b):
+            np.add(events[: tt - 1, w], events[1:tt, w - 1], out=events[: tt - 1, w])
+    counts[:tt, :b] += events[:tt, :b]
+    events[:tt, :b] = 0

@@ -120,11 +120,12 @@ def rolling(
     are counted. SD and CV reduce blocks of windows over a sliding-window
     view; CV's undefined-mean floor, 1e-12 on the window's own unit scale as
     in ``summarize``, is looked up only for the windows whose mean lies
-    below 1e-12 on the scale they are taken on. ApEn computes the distances
-    of a chunk of windows once, counts the ones within the chunk's smallest
-    tolerance for all its windows at once, and compares only those between
-    its smallest and largest tolerance window by window (see
-    ``apen._rolling_apen``).
+    below 1e-12 on the scale they are taken on. ApEn computes the distance
+    of each pair of templates less than a window apart once per block of
+    windows, counts the pairs within the smallest tolerance of the windows
+    that hold them for all those windows at once, and compares a pair with
+    each window's own tolerance only where it lies between its windows'
+    smallest and largest tolerance (see ``apen._rolling_apen``).
     """
     arr = _as_float64(values)
     stat = RollingStatistic(statistic)

@@ -604,56 +604,51 @@ def _rolling_inputs(n):
 
 
 class TestBatchedRollingApen:
-    """Rolling ApEn from diagonal blocks against apen on each window alone."""
+    """Rolling ApEn from one band of distances against apen on each window alone."""
 
-    # (windows per chunk, mask cells per slab): the default, one window per
-    # chunk, an odd chunk, a chunk wider than the window count, and slabs of
-    # one row and of a few rows.
-    CHUNKINGS = [(None, None), (1, None), (7, None), (10_000, None), (7, 1), (24, 1_000)]
+    # Block budgets (_ROLLING_CELLS): the default; 1, a block of one window
+    # and a chunk of one offset; 1_000 and 2_113, small blocks of sizes that
+    # vary with the window, odd ones among them, split into chunks of a few
+    # offsets; and one block that holds every window, in one chunk.
+    CHUNKINGS = [None, 1, 1_000, 2_113, 10**9]
 
     @pytest.mark.parametrize("name", ["gauss", "walk", "lattice"])
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_bit_identical_to_window_loop(self, monkeypatch, name, m):
-        apen_module = importlib.import_module("tailscope.apen")
         n = 260
         data = _rolling_inputs(n)[name]
         params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
         for window in (m + 2, 7, m + 31, m + 32, 99, 100, 129, 256, 257, n):
             want = rolling_apen_loop(data, window, params)
-            for windows, cells in self.CHUNKINGS:
-                with monkeypatch.context() as patch:
-                    if windows is not None:
-                        patch.setattr(apen_module, "_ROLLING_WINDOWS", windows)
-                    if cells is not None:
-                        patch.setattr(apen_module, "_ROLLING_CELLS", cells)
-                    got = rolling(data, window, "apen", apen_params=params).values
-                assert np.array_equal(got, want), (window, windows, cells)
+            for entry in self._every_chunking(monkeypatch):
+                got = rolling(data, window, "apen", apen_params=params).values
+                assert np.array_equal(got, want), (window, entry)
 
-    @pytest.mark.parametrize("name", ["gauss", "lattice"])
+    @pytest.mark.parametrize("name", ["gauss", "walk", "lattice"])
     def test_long_window_bit_identical_to_window_loop(self, monkeypatch, name):
-        # Windows far past the chunk's cell budget; the loop checks apen
-        # itself at N = 1,100 on each of the 201 windows.
+        # Windows far past the block budget, so each block's offsets are
+        # split into chunks; 41_000 cells make blocks of 37 windows. The loop
+        # checks apen itself at N = 1,100 on each of the 201 windows; on the
+        # price walk most pairs lie between their windows' tolerances.
         apen_module = importlib.import_module("tailscope.apen")
         data = _rolling_inputs(1_300)[name]
         params = _absolute(2, 1.0) if name == "lattice" else ApenParams()
         want = rolling_apen_loop(data, 1_100, params)
-        for windows in (None, 1):
+        for cells in (None, 41_000):
             with monkeypatch.context() as patch:
-                if windows is not None:
-                    patch.setattr(apen_module, "_ROLLING_WINDOWS", windows)
+                if cells is not None:
+                    patch.setattr(apen_module, "_ROLLING_CELLS", cells)
                 got = rolling(data, 1_100, "apen", apen_params=params).values
-            assert np.array_equal(got, want), windows
+            assert np.array_equal(got, want), cells
 
     def _every_chunking(self, monkeypatch):
         """Patch in each CHUNKINGS entry in turn, and yield it."""
         apen_module = importlib.import_module("tailscope.apen")
-        for chunk, cells in self.CHUNKINGS:
+        for cells in self.CHUNKINGS:
             with monkeypatch.context() as patch:
-                if chunk is not None:
-                    patch.setattr(apen_module, "_ROLLING_WINDOWS", chunk)
                 if cells is not None:
                     patch.setattr(apen_module, "_ROLLING_CELLS", cells)
-                yield chunk, cells
+                yield cells
 
     def _assert_every_chunking(self, monkeypatch, data, windows, params):
         for window in windows:
@@ -666,7 +661,7 @@ class TestBatchedRollingApen:
     @pytest.mark.parametrize("m", [4, 5])
     def test_long_templates_bit_identical_to_window_loop(self, monkeypatch, name, m):
         # Each coordinate past the first is folded in as a view of one
-        # difference matrix shifted k rows and k columns on, for any m.
+        # difference matrix shifted k columns on, for any m.
         data = _rolling_inputs(260)[name]
         params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
         self._assert_every_chunking(monkeypatch, data, (m + 2, 7, 30, 100, 257), params)
@@ -674,87 +669,76 @@ class TestBatchedRollingApen:
     @pytest.mark.parametrize("name", ["gauss", "lattice"])
     @pytest.mark.parametrize("m", [5, 9])
     def test_coordinates_in_runs_bit_identical_to_window_loop(self, monkeypatch, name, m):
-        # Slabs of four rows let one difference matrix serve only four
-        # coordinates at window 30, so the fold rebuilds it on the way and
-        # the last run of coordinates is short; at window 100 a slab is one
-        # row and each coordinate takes its own matrix.
-        apen_module = importlib.import_module("tailscope.apen")
-        monkeypatch.setattr(apen_module, "_ROLLING_WINDOWS", 7)
-        monkeypatch.setattr(apen_module, "_ROLLING_CELLS", 1_024)
+        # A budget of 1,024 cells makes chunks of one offset, so the
+        # difference matrix holds m more columns than the chunk's distances
+        # and every coordinate is a view of it shifted further than the
+        # chunk is wide.
+        monkeypatch.setattr(importlib.import_module("tailscope.apen"), "_ROLLING_CELLS", 1_024)
         data = _rolling_inputs(260)[name]
         params = _absolute(m, 1.0) if name == "lattice" else ApenParams(m=m)
         for window in (30, 31, 100):
             got = rolling(data, window, "apen", apen_params=params).values
             assert np.array_equal(got, rolling_apen_loop(data, window, params)), window
 
-    @pytest.mark.parametrize("m", [1, 2, 3])
-    def test_one_counter_per_call(self, monkeypatch, m):
-        # At 48 windows a chunk, windows of t <= 32 templates compare their
-        # blocks whole in every chunk and at both levels; longer ones split
-        # every slab at its chunk's tolerance range.
-        apen_module = importlib.import_module("tailscope.apen")
-        calls = dict.fromkeys(["_count", "_count_dense"], 0)
-        for name in calls:
-            def counting(*args, name=name, count=getattr(apen_module, name)):
-                calls[name] += 1
-                return count(*args)
-
-            monkeypatch.setattr(apen_module, name, counting)
-        data = 0.02 * np.random.default_rng(3650).standard_t(4, 3_650)
-        for t in (4, 20, 32, 33, 34, 40, 99):
-            calls.update(_count=0, _count_dense=0)
-            rolling(data, t + m - 1, "apen", apen_params=ApenParams(m=m))
-            ran, idle = ("_count_dense", "_count") if t <= 32 else ("_count", "_count_dense")
-            assert calls[ran] and not calls[idle], (t, calls)
-
-    def test_window_membership_matches_a_tri_reference(self):
-        # _count tests "window b holds column j" as j - b < tt in the
-        # narrowest unsigned type that holds the chunk's width w; np.tri
-        # spells out the same band. Widths 254 to 257 cross the uint8 edge.
-        # Slabs of at most 3 rows keep the (b, h, w) reference small, and
-        # h < w puts the chunk's last slab, top = w - h, past row 0, so its
-        # counts must land in level[:, top:top+h] and nowhere else.
-        count = importlib.import_module("tailscope.apen")._count
+    def test_forward_and_backward_counts_match_a_tri_reference(self):
+        # _count_band adds each template's matches after it (forward) and
+        # before it (backward) in each window, reading them through views
+        # that step back a row per position and a column per offset; np.tri
+        # spells out which templates each window holds. Chunks of 1 to 5
+        # offsets carry the prefixes from chunk to chunk, and windows of 254
+        # to 257 templates cross the uint8 edge of the counts.
+        count_band = importlib.import_module("tailscope.apen")._count_band
         rng = np.random.default_rng(2700)
-        for b in range(1, 49):
-            for t in (*range(2, 12), *range(255 - b, 259 - b)):
-                w = b + t - 1
-                h = min(3, w - 1)
-                dist = rng.uniform(0.0, 1.0, (h, w))
-                r = rng.uniform(0.2, 0.8, b)
-                for tt in range(1, t + 1) if t < 12 else (t - 1, t):
-                    holds = np.tri(b, w, tt - 1, bool) & ~np.tri(b, w, -1, bool)
-                    want = ((dist <= r[:, None, None]) & holds[:, None, :]).sum(axis=2)
-                    for top in (0, w - h):
-                        level = np.zeros((b, w), np.min_scalar_type(t))
-                        count(dist, top, tt, r, np.empty(2 * h * w, bool), level)
-                        assert np.array_equal(level[:, top : top + h], want), (b, t, tt, top)
-                        level[:, top : top + h] = 0
-                        assert not level.any(), (b, t, tt, top)
+        for b in (1, 2, 5, 13):
+            for t in (*range(2, 9), 254, 255, 256, 257):
+                g = b + t - 1
+                dist = rng.uniform(0.0, 1.0, (t, g + 1))  # dist[d, i]: templates i and i + d
+                r = np.full(b, rng.uniform(0.2, 0.8))
+                match = np.zeros((g, g), bool)
+                for d in range(1, t):
+                    match[np.arange(g - d), np.arange(d, g)] = dist[d, : g - d] <= r[0]
+                match |= match.T
+                holds = np.tri(b, g, t - 1, bool) & ~np.tri(b, g, -1, bool)
+                before = np.tri(g, g, -1, bool)
+                for rows in {1, 3, 5, t - 1} - {0}:
+                    dtype = np.min_scalar_type(t)
+                    counts = np.zeros((t, b), dtype)
+                    carry = np.zeros((2, g), dtype)
+                    bufs = (None, np.empty((2, (rows + 1) * (g + 2)), dtype), None)
+                    for d0 in range(1, t, rows):
+                        # As in _rolling_apen, templates past g - d0 are left out.
+                        band = np.ascontiguousarray(dist[d0 : min(t, d0 + rows), : g - d0])
+                        count_band(band, d0, t, r, None, bufs, carry, counts, [])
+                    for w in range(b):
+                        inside = match & holds[w][:, None] & holds[w][None, :]
+                        ahead = (inside & ~before & ~np.eye(g, dtype=bool)).sum(axis=1)
+                        behind = (inside & before).sum(axis=1)
+                        want = (ahead + behind)[w : w + t]
+                        assert np.array_equal(counts[:, w], want), (b, t, rows, w)
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_volatility_break_bit_identical_to_window_loop(self, monkeypatch, m):
-        # Windows across the break have tolerances more than 10x apart in
-        # one chunk, so many of its distances lie between its smallest and
-        # largest tolerance and are compared window by window.
+        # Windows across the break that hold one template have tolerances
+        # more than 10x apart, so many of its pairs lie between their
+        # windows' smallest and largest tolerance and are classified group
+        # by group and compared window by window.
         rng = np.random.default_rng(5150 + m)
         data = np.concatenate((rng.normal(size=200), 10.0 * rng.normal(size=200)))
         sd = np.lib.stride_tricks.sliding_window_view(data, 30).std(axis=1, ddof=1)
-        chunk = importlib.import_module("tailscope.apen")._ROLLING_WINDOWS
-        spans = np.lib.stride_tricks.sliding_window_view(sd, chunk)
+        spans = np.lib.stride_tricks.sliding_window_view(sd, 30 - m + 1)
         assert (spans.max(axis=1) / spans.min(axis=1)).max() > 10.0
         self._assert_every_chunking(monkeypatch, data, (m + 2, 7, 30, 100, 257), ApenParams(m=m))
 
     @pytest.mark.parametrize("m", [1, 2, 3])
     def test_absolute_tolerance_bit_identical_to_window_loop(self, monkeypatch, m):
-        # Every window of a chunk shares one tolerance, so no distance lies
-        # between the chunk's smallest and largest; real values, not a
-        # lattice, so ties with r are rare.
+        # Every window shares one tolerance, so no pair lies between its
+        # windows' smallest and largest; real values, not a lattice, so ties
+        # with r are rare.
         data = np.random.default_rng(6160 + m).standard_t(4, 300)
         self._assert_every_chunking(monkeypatch, data, (m + 2, 7, 30, 100, 257), _absolute(m, 0.4))
 
     def test_distance_equal_to_an_inner_tolerance_matches(self, monkeypatch):
-        # Every chunk of three or more windows has tolerances 0.5 and 2.0,
+        # Every run of three or more windows has tolerances 0.5 and 2.0,
         # and the windows in between have r = 1.0 exactly, which integer
         # distances of 1 meet: those pairs match in those windows only.
         apen_module = importlib.import_module("tailscope.apen")

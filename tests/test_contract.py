@@ -327,10 +327,20 @@ def test_rolling_sd_is_each_windows_summarize_to_the_bit(values):
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
 
-# The statistic of one window alone, as rolling writes it: None is NaN.
+# The statistic of one window alone, as rolling writes it: None is NaN; the
+# statistic rolling takes, and the ApenParams it passes on. Absolute r at 1
+# and 1e-3 leaves no pair between its windows' tolerances at any scale.
+_ABSOLUTE = {r: ApenParams(r_mode="absolute", r_value=r) for r in (1.0, 1e-3)}
 WINDOW_STATISTIC = {
-    "coeff_variation": lambda w: np.nan if (cv := summarize(w).coeff_variation) is None else cv,
-    "apen": apen,
+    "coeff_variation": (
+        lambda w: np.nan if (cv := summarize(w).coeff_variation) is None else cv,
+        "coeff_variation", None,
+    ),
+    "apen": (apen, "apen", None),
+    **{
+        f"apen absolute r={r:g}": (lambda w, p=p: apen(w, p), "apen", p)
+        for r, p in _ABSOLUTE.items()
+    },
 }
 
 
@@ -338,9 +348,9 @@ WINDOW_STATISTIC = {
 @pytest.mark.parametrize("statistic", WINDOW_STATISTIC)
 def test_rolling_cv_and_apen_are_each_windows_own_to_the_bit(statistic, values):
     v = EXTREME_INPUTS[values]
-    one = WINDOW_STATISTIC[statistic]
+    one, name, params = WINDOW_STATISTIC[statistic]
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        got = rolling(v.copy(), 20, statistic).values
+        got = rolling(v.copy(), 20, name, apen_params=params).values
         want = np.array([one(v[i : i + 20]) for i in range(v.size - 19)])
     assert np.array_equal(got.view(np.int64), want.view(np.int64))
